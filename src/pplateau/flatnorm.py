@@ -6,15 +6,15 @@ linear program, solved exactly over the rationals; the returned certificate
 carries the optimal filling, the remainder R = T - boundary(S), and the dual
 cochain proving optimality by weak duality.
 
-The integral variant restricts S to integer coefficients within a cap and is
-solved by branch-and-bound with LP relaxation lower bounds. The weighted
-variant replaces mass by the concave-cost mass on both terms; its bounds come
-from interval reasoning on the achievable remainders (if a cell's remainder
-can reach 0 it contributes nothing, otherwise the endpoint nearest zero wins
-because the cost increases in |multiplicity|).
+The weighted flat distance replaces mass by the concave-cost mass on both
+terms and restricts S to integer coefficients within a cap. It is solved by
+branch-and-bound whose bounds come from interval reasoning on the achievable
+remainders (if a cell's remainder can reach 0 it contributes nothing,
+otherwise the endpoint nearest zero wins because the cost increases in
+|multiplicity|). The integral flat distance is its case H = identity.
 
-Integer searches visit filling vectors in ascending lexicographic order over
-the complex's cell order, so the first optimum found is the lexicographically
+The search visits filling vectors in ascending lexicographic order over the
+complex's cell order, so the first optimum found is the lexicographically
 least one and results are deterministic.
 """
 
@@ -23,13 +23,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .complexes import CellComplex, Chain, Cochain, boundary, pair, unit_chain
 from .errors import DomainError, SearchSpaceError
 from .functionals import Integrand, h_mass, mass
-from .lp import OPTIMAL, UNBOUNDED, LPResult, solve_lp
-from .numeric import Number, is_exact, strictly_less, values_equal
+from .lp import OPTIMAL, solve_lp
+from .numeric import Number, strictly_less, values_equal
 
 ENUMERATION_LIMIT = 100_000_000
 
@@ -170,106 +170,46 @@ def verify_real_certificate(cx: CellComplex, t: Chain, cert: FlatCertificate) ->
     return pair(y, t) == cert.value
 
 
-def _integer_search(cx: CellComplex, t: Chain, cap: int,
-                    leaf_cost: Callable[[Chain, Chain], Number],
-                    node_bound: Callable[[dict[str, int], list[str]], Number]) -> FlatCertificate:
-    """Shared DFS over integer fillings in lex order with lower-bound pruning."""
-    if cap < 0:
-        raise DomainError(f"cap must be >= 0, got {cap}")
-    dim = t.dim
-    taus = cx.cell_names(dim + 1)
-    best_value: Optional[Number] = None
-    best_s: Optional[Chain] = None
-
-    def descend(assigned: dict[str, int], rest: list[str]) -> None:
-        nonlocal best_value, best_s
-        if best_value is not None:
-            lb = node_bound(assigned, rest)
-            if not strictly_less(lb, best_value):
-                return
-        if not rest:
-            s = Chain(dim + 1, dict(assigned))
-            r = t - boundary(cx, s)
-            v = leaf_cost(s, r)
-            if best_value is None or strictly_less(v, best_value):
-                best_value = v
-                best_s = s
-            return
-        name, tail = rest[0], rest[1:]
-        for v in range(-cap, cap + 1):
-            assigned[name] = v
-            descend(assigned, tail)
-        del assigned[name]
-
-    descend({}, taus)
-    assert best_value is not None and best_s is not None
-    remainder = t - boundary(cx, best_s)
-    active = any(abs(v) == cap for v in best_s.coeffs.values()) and cap > 0
-    return FlatCertificate(best_value, best_s, remainder, cap=cap, cap_active=active)
-
-
 def flat_distance_integral(cx: CellComplex, t1: Chain, t2: Chain, cap: int) -> FlatCertificate:
     """Integral flat distance between two integer chains.
 
-    Branch-and-bound over integer fillings with |coefficient| <= cap; lower
-    bounds come from the LP relaxation of the subproblem with the assigned
-    coefficients folded into the right-hand side. When the optimal filling
-    touches the cap the result is only an upper bound for the uncapped
-    distance, and the certificate says so.
+    The minimum of mass(R) + mass(S) over integer fillings S with
+    |coefficient| <= cap: the weighted distance with H = identity. When the
+    optimal filling touches the cap the result is only an upper bound for the
+    uncapped distance, and the certificate says so.
     """
-    t = t1 - t2
-    if not t.is_integer:
-        raise DomainError("integral flat distance needs integer chains")
-    cx.check_chain(t)
-    dim = t.dim
-    lp = _FlatLP(cx, dim)
-    cost = lp.cost()
-
-    def node_bound(assigned: dict[str, int], rest: list[str]) -> Number:
-        fixed_cost = Fraction(0)
-        shifted = t
-        for name, v in assigned.items():
-            if v:
-                fixed_cost += abs(v) * cx.measure(dim + 1, name)
-                shifted = shifted - boundary(cx, unit_chain(dim + 1, name)).scale(v)
-        sub = _FlatLP(cx, dim)
-        sub.taus = list(rest)
-        sub.tau_cols = {tau: lp.tau_cols[tau] for tau in rest}
-        sub.ncols = 2 * len(sub.sigmas) + 2 * len(rest)
-        rows, rhs = sub.rows(shifted)
-        res = solve_lp(sub.cost(), rows, rhs)
-        if res.status != OPTIMAL:
-            return fixed_cost  # relaxation failed to bound; stay conservative
-        return fixed_cost + res.value
-
-    def leaf_cost(s: Chain, r: Chain) -> Number:
-        return mass(cx, r) + mass(cx, s)
-
-    return _integer_search(cx, t, cap, leaf_cost, node_bound)
+    return h_flat_distance(cx, t1, t2, Integrand.identity(), cap)
 
 
 def h_flat_distance(cx: CellComplex, t1: Chain, t2: Chain, h: Integrand, cap: int) -> FlatCertificate:
     """Flat distance with both terms weighted by a concave multiplicity cost.
 
-    The objective is concave in each coefficient, so instead of an LP the
-    bound tracks, per m-cell, the interval of remainders reachable from the
-    still-free filling coefficients: a cell whose interval straddles zero can
-    cost nothing, otherwise its cheapest value sits at the endpoint nearest
-    zero. Fixed cells contribute exactly.
+    Depth-first search over integer fillings with |coefficient| <= cap, in
+    lexicographic order. The objective is concave in each coefficient, so
+    instead of an LP the bound tracks, per m-cell, the interval of remainders
+    reachable from the still-free filling coefficients: a cell whose interval
+    straddles zero can cost nothing, otherwise its cheapest value sits at the
+    endpoint nearest zero. Fixed cells contribute exactly. A subtree is pruned
+    unless its bound is strictly below the incumbent, so the first optimum
+    found is the lexicographically least.
     """
     t = t1 - t2
     if not t.is_integer:
-        raise DomainError("weighted flat distance needs integer chains")
+        raise DomainError("flat distance needs integer chains")
     cx.check_chain(t)
+    if cap < 0:
+        raise DomainError(f"cap must be >= 0, got {cap}")
     dim = t.dim
     sigmas = cx.cell_names(dim)
+    taus = cx.cell_names(dim + 1)
     touching: dict[str, dict[str, int]] = {name: {} for name in sigmas}
-    for tau in cx.cell_names(dim + 1):
+    for tau in taus:
         for face, sign in cx.boundary_row(dim + 1, tau).items():
             touching[face][tau] = sign
+    best_value: Optional[Number] = None
+    best_s: Optional[Chain] = None
 
-    def node_bound(assigned: dict[str, int], rest: list[str]) -> Number:
-        rest_set = set(rest)
+    def lower_bound(assigned: dict[str, int]) -> Number:
         lb: Number = Fraction(0)
         for name, v in assigned.items():
             if v:
@@ -278,10 +218,10 @@ def h_flat_distance(cx: CellComplex, t1: Chain, t2: Chain, h: Integrand, cap: in
             base = t.get(name)
             spread = 0
             for tau, sign in touching[name].items():
-                if tau in rest_set:
-                    spread += abs(sign) * cap
+                if tau in assigned:
+                    base -= sign * assigned[tau]
                 else:
-                    base -= sign * assigned.get(tau, 0)
+                    spread += abs(sign) * cap
             lo, hi = base - spread, base + spread
             if lo <= 0 <= hi:
                 continue
@@ -289,10 +229,28 @@ def h_flat_distance(cx: CellComplex, t1: Chain, t2: Chain, h: Integrand, cap: in
             lb = lb + h(nearest) * cx.measure(dim, name)
         return lb
 
-    def leaf_cost(s: Chain, r: Chain) -> Number:
-        return h_mass(cx, r, h) + h_mass(cx, s, h)
+    def descend(i: int, assigned: dict[str, int]) -> None:
+        nonlocal best_value, best_s
+        if best_value is not None and not strictly_less(lower_bound(assigned), best_value):
+            return
+        if i == len(taus):
+            s = Chain(dim + 1, dict(assigned))
+            v = h_mass(cx, t - boundary(cx, s), h) + h_mass(cx, s, h)
+            if best_value is None or strictly_less(v, best_value):
+                best_value = v
+                best_s = s
+            return
+        name = taus[i]
+        for v in range(-cap, cap + 1):
+            assigned[name] = v
+            descend(i + 1, assigned)
+        del assigned[name]
 
-    return _integer_search(cx, t, cap, leaf_cost, node_bound)
+    descend(0, {})
+    assert best_value is not None and best_s is not None
+    remainder = t - boundary(cx, best_s)
+    active = any(abs(v) == cap for v in best_s.coeffs.values()) and cap > 0
+    return FlatCertificate(best_value, best_s, remainder, cap=cap, cap_active=active)
 
 
 def enumerate_flat_integral(cx: CellComplex, t1: Chain, t2: Chain, cap: int,

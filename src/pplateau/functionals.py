@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .complexes import CellComplex, Chain, Cochain, boundary, pair
 from .errors import DomainError, SearchSpaceError

@@ -5,8 +5,8 @@ are deterministic. Everything is fractions.Fraction; no floating point. The
 result carries a dual vector recovered from the final basis inverse, which
 callers use as an independent optimality certificate (weak duality).
 
-Sized for desk-scale problems (tens of variables), which is all the flat-norm
-and relaxation layers ever build.
+Sized for desk-scale problems (tens of variables), which is all the real
+flat norm ever builds.
 """
 
 from __future__ import annotations

@@ -28,11 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .complexes import CellComplex, Chain, Cochain, boundary, pair, unit_chain
+from .complexes import CellComplex, Chain, Cochain, boundary
 from .errors import DomainError, SearchSpaceError
 from .functionals import EnergyValue, Integrand, comass, energy, h_mass, mass
 from .numeric import Number, strictly_less, values_equal
-from .subcurrent import boundary_box, is_subcurrent
+from .subcurrent import boundary_box, is_subcurrent_cellwise
 
 DEFAULT_MINIMIZER_LIMIT = 64
 ORACLE_LIMIT = 100_000_000
@@ -339,8 +339,11 @@ class CertifyReport:
 def certify(p: Problem, s: Solution) -> CertifyReport:
     """Report-only re-check of a solution against the problem's definitions.
 
-    Uses the mass-identity subcurrent test and the plain energy functional,
-    not the search's incremental accounting, so it exercises a second route.
+    Checks feasibility (integer coefficients, and the boundary constraint by
+    the cellwise subcurrent rule the search enforces, so zero-measure cells
+    count), energy consistency with the reported value, lexicographic order
+    and duplicates. It does not check optimality. It recomputes with the
+    plain energy functional, not the search's incremental accounting.
     """
     issues: list[str] = []
     if not s.minimizers:
@@ -352,7 +355,7 @@ def certify(p: Problem, s: Solution) -> CertifyReport:
             issues.append(f"minimizer {i} has non-integer coefficients")
             continue
         d = boundary(p.cx, t - p.reference)
-        if not is_subcurrent(p.cx, d, p.budget_chain):
+        if not is_subcurrent_cellwise(p.cx, d, p.budget_chain):
             issues.append(f"minimizer {i} violates the boundary constraint")
         ev = energy(p.cx, t, p.h, p.phi)
         if not values_equal(ev.energy, s.value.energy):

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .complexes import CellComplex, Chain, Cochain
 from .errors import DomainError
-from .functionals import EnergyValue, Integrand, energy
+from .functionals import Integrand, energy
 from .numeric import to_fraction
 from .solver import Problem, Solution
 

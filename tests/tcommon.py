@@ -42,22 +42,30 @@ def square() -> CellComplex:
     return cx
 
 
-def random_complex(rng: random.Random, max_cells: int = 12) -> CellComplex:
+def random_complex(rng: random.Random, max_cells: int = 12,
+                   zero_share: float = 0.0) -> CellComplex:
     """Random 2-dimensional complex with balanced cell counts.
 
     Incidence signs are arbitrary, so boundary-of-boundary need not vanish;
     fine for solver and functional tests, which never differentiate twice.
+    With `zero_share` > 0 each cell gets measure 0 with that probability; at
+    the default 0 no extra draws are made, so existing seeds are unchanged.
     """
     n0 = rng.randint(1, 4)
     n1 = rng.randint(2, 5)
     n2 = rng.randint(1, min(6, max_cells - n0 - n1))
+
+    def measure() -> Fraction:
+        mu = Fraction(rng.randint(1, 3))
+        return Fraction(0) if zero_share and rng.random() < zero_share else mu
+
     cx = CellComplex()
     for i in range(n0):
-        cx.add_cell(0, f"v{i}", Fraction(rng.randint(1, 3)))
+        cx.add_cell(0, f"v{i}", measure())
     for i in range(n1):
-        cx.add_cell(1, f"e{i}", Fraction(rng.randint(1, 3)))
+        cx.add_cell(1, f"e{i}", measure())
     for i in range(n2):
-        cx.add_cell(2, f"f{i}", Fraction(rng.randint(1, 3)))
+        cx.add_cell(2, f"f{i}", measure())
     for i in range(n2):
         for j in range(n1):
             if rng.random() < 0.6:

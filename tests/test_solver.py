@@ -279,6 +279,20 @@ def test_certify_flags_constraint_violation():
     assert any("boundary constraint" in e for e in rep.entries)
 
 
+def test_certify_sees_zero_measure_cells():
+    # a --e--> b with b of measure 0: bd(e) = -a + b puts +1 on b, where the
+    # budget -a is 0; the mass identity cannot see b, the cellwise rule can.
+    cx = interval(vb=0)
+    p = _problem(cx, budget=Chain(0, {"a": -1}))
+    s = solve(p, caps=1)
+    assert chain_dicts(s.minimizers) == [{}]
+    edge = Chain(1, {"e": 1})
+    bad = Solution((edge,), energy(cx, edge, p.h, p.phi), s.caps, True, False)
+    rep = certify(p, bad)
+    assert not rep.ok
+    assert any("boundary constraint" in e for e in rep.entries)
+
+
 def test_certify_flags_disorder_and_duplicates():
     cx = _fork()
     p = _problem(cx, budget=Chain(0, {"v": 1}), phi=Cochain(0, {"v": 1}))
