@@ -208,12 +208,18 @@ def h_flat_distance(cx: CellComplex, t1: Chain, t2: Chain, h: Integrand, cap: in
             touching[face][tau] = sign
     best_value: Optional[Number] = None
     best_s: Optional[Chain] = None
+    h_of: dict[int, Number] = {}  # h(j) for the integer multiplicities met so far
+
+    def cost(j: int) -> Number:
+        if j not in h_of:
+            h_of[j] = h(j)
+        return h_of[j]
 
     def lower_bound(assigned: dict[str, int]) -> Number:
         lb: Number = Fraction(0)
         for name, v in assigned.items():
             if v:
-                lb = lb + h(abs(v)) * cx.measure(dim + 1, name)
+                lb = lb + cost(abs(v)) * cx.measure(dim + 1, name)
         for name in sigmas:
             base = t.get(name)
             spread = 0
@@ -226,7 +232,7 @@ def h_flat_distance(cx: CellComplex, t1: Chain, t2: Chain, h: Integrand, cap: in
             if lo <= 0 <= hi:
                 continue
             nearest = min(abs(lo), abs(hi))
-            lb = lb + h(nearest) * cx.measure(dim, name)
+            lb = lb + cost(nearest) * cx.measure(dim, name)
         return lb
 
     def descend(i: int, assigned: dict[str, int]) -> None:

@@ -16,8 +16,12 @@ The Monte-Carlo estimator averages box-volume-weighted slice masses over
 random projections and levels, then divides by the same pipeline's average on
 a reference unit cube, which empirically cancels the direction-integral
 normalization constant. Randomness is drawn from counter-based Philox streams
-keyed by (seed, round) in a fixed per-sample layout, so results depend only
-on the seed and sample count, never on any worker decomposition.
+keyed by (seed, stream, round): each resampling round draws the directions of
+all its pending samples as one batch, then their levels as another (for
+2-chains a (k, n, 2) normal block, then a (k, 2) uniform block). The
+geometry runs in chunks of bounded size, and chunking never changes a draw,
+so results depend only on the seed and sample count, never on any worker
+decomposition or chunk size.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +40,8 @@ from .numeric import to_fraction
 
 Point = tuple[Fraction, ...]
 EPS = 1e-12
+# Largest (sample, simplex) pair count whose geometry the sampler holds at once.
+_CHUNK_PAIRS = 1 << 16
 
 
 def _canonical(verts: tuple[Point, ...]) -> tuple[tuple[Point, ...], int]:
@@ -255,42 +261,92 @@ def slice_chain(p: PolyhedralChain, proj, level) -> ZeroCurrent:
 
     Raises DegenerateSliceError when the preimage is tangent to a simplex or
     meets one on a facet; callers resample instead of trusting the output.
+    The crossing rules are those of `_crossings`, run on a batch of one; the
+    first degenerate simplex in chain order names the error.
     """
     m, n = p.dim, p.ambient
     if m == 0:
         raise DomainError("cannot slice a 0-chain")
     pr = _check_projection(proj, n, m)
     y = np.asarray(level, dtype=float).reshape(m)
+    if p.is_zero:
+        return ZeroCurrent(n, ())
+    verts = _vertex_array(p)
+    x = _crossings((verts @ pr.T)[None], y[None])
+    bad = np.flatnonzero(x.tangent[0] | x.facet[0])
+    if bad.size:
+        if x.tangent[0, bad[0]]:
+            raise DegenerateSliceError("slice plane tangent to a simplex")
+        raise DegenerateSliceError("slice plane hits a simplex facet")
     points = []
-    for verts, w in p.simplices:
-        vv = np.array([[float(c) for c in v] for v in verts], dtype=float)
-        base = vv[0]
-        edges = (vv[1:] - base).T           # n x m
-        a = pr @ edges                      # m x m
-        rhs = y - pr @ base
-        det = float(np.linalg.det(a))
-        scale = float(np.prod(np.linalg.norm(a, axis=0))) or 1.0
-        if abs(det) <= EPS * scale:
-            # Tangent plane: degenerate only if the plane actually meets the
-            # simplex; a parallel miss is a clean empty slice.
-            if _tangent_hits(a, rhs):
-                raise DegenerateSliceError("slice plane tangent to a simplex")
-            continue
-        lam = np.linalg.solve(a, rhs)
-        lam0 = 1.0 - float(lam.sum())
-        coords = [float(v) for v in lam] + [lam0]
-        if all(c > EPS for c in coords):
-            pt = base + edges @ lam
-            points.append((tuple(float(c) for c in pt), w * (1 if det > 0 else -1)))
-        elif all(c > -EPS for c in coords):
-            raise DegenerateSliceError("slice plane hits a simplex facet")
+    for i in np.flatnonzero(x.inside[0]):
+        base = verts[i, 0]
+        pt = base + (verts[i, 1:] - base).T @ x.lam[0, i]
+        points.append((tuple(float(c) for c in pt),
+                       p.simplices[i][1] * (1 if x.det[0, i] > 0 else -1)))
     return ZeroCurrent(n, tuple(points))
 
 
-def _tangent_hits(a: np.ndarray, rhs: np.ndarray) -> bool:
-    """Is a singular system A x = rhs consistent (plane meets the affine hull)?"""
-    aug = np.concatenate([a, rhs.reshape(-1, 1)], axis=1)
-    return np.linalg.matrix_rank(aug, tol=1e-9) == np.linalg.matrix_rank(a, tol=1e-9)
+class _Crossing(NamedTuple):
+    """Per-(sample, simplex) outcome of `_crossings`; every field is (k, s, ...)."""
+
+    det: np.ndarray      # determinant of the projected edge matrix; its sign orients
+    lam: np.ndarray      # barycentric coordinates of the crossing, vertices 1..m
+    inside: np.ndarray   # transversal crossing strictly inside the simplex
+    facet: np.ndarray    # transversal, but on or within EPS of a facet
+    tangent: np.ndarray  # tangent plane that meets the simplex's affine hull
+
+
+def _crossings(pv: np.ndarray, y: np.ndarray) -> _Crossing:
+    """The transversality rules, for k levels against s projected m-simplices.
+
+    `pv` (k, s, m+1, m) holds every simplex's vertices under each sample's
+    projection and `y` (k, m) each sample's level. A simplex whose projected
+    edge matrix has |det| <= EPS times its column-norm product is tangent; it
+    is degenerate only if the level lies on its projected affine hull (the
+    rank test), otherwise it is a clean miss. A transversal simplex is crossed
+    inside when all m+1 barycentric coordinates exceed EPS, and on a facet
+    when none is below -EPS but some is not above EPS.
+    """
+    m = pv.shape[-1]
+    a = (pv[:, :, 1:, :] - pv[:, :, :1, :]).swapaxes(-1, -2)   # (k, s, m, m)
+    rhs = y[:, None, :] - pv[:, :, 0, :]                          # (k, s, m)
+    det = _det(a)
+    scale = np.prod(np.linalg.norm(a, axis=-2), axis=-1)
+    scale[scale == 0] = 1.0
+    flat = np.abs(det) <= EPS * scale
+    tangent = np.zeros_like(flat)
+    if flat.any():
+        # Singular systems: consistent exactly when appending rhs keeps the rank.
+        af, rf = a[flat], rhs[flat]
+        aug = np.concatenate([af, rf[..., None]], axis=-1)
+        tangent[flat] = (np.linalg.matrix_rank(aug, tol=1e-9)
+                         == np.linalg.matrix_rank(af, tol=1e-9))
+        a = a.copy()
+        a[flat] = np.eye(m)
+    lam = _solve(a, rhs)
+    coords = np.concatenate([lam, 1.0 - lam.sum(axis=-1, keepdims=True)], axis=-1)
+    inside = ~flat & (coords > EPS).all(axis=-1)
+    facet = ~flat & ~inside & (coords > -EPS).all(axis=-1)
+    return _Crossing(det, lam, inside, facet, tangent)
+
+
+# Stacked 2 x 2 systems, the sampler's case, take closed forms (Cramer's rule):
+# batched LAPACK costs about 20 times more per system at that size.
+
+def _det(a: np.ndarray) -> np.ndarray:
+    if a.shape[-1] == 2:
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    return np.linalg.det(a)
+
+
+def _solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with a x = rhs for stacked nonsingular a (..., m, m) and rhs (..., m)."""
+    if a.shape[-1] == 2:
+        x = np.stack([a[..., 1, 1] * rhs[..., 0] - a[..., 0, 1] * rhs[..., 1],
+                      a[..., 0, 0] * rhs[..., 1] - a[..., 1, 0] * rhs[..., 0]], axis=-1)
+        return x / _det(a)[..., None]
+    return np.linalg.solve(a, rhs[..., None])[..., 0]
 
 
 # -- converters ------------------------------------------------------------
@@ -393,13 +449,68 @@ def _unit_cube_chain(m: int, n: int) -> PolyhedralChain:
     raise DomainError("reference cubes implemented for dimensions 1 and 2")
 
 
+def _vertex_array(p: PolyhedralChain) -> np.ndarray:
+    """Float vertex coordinates of every simplex: (simplices, dim + 1, ambient)."""
+    return np.array([[[float(c) for c in v] for v in s] for s, _ in p.simplices], dtype=float)
+
+
+def _line_values(dirs: np.ndarray, u: np.ndarray, verts: np.ndarray,
+                 hw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-chains: raw values and degenerate flags for unit directions `dirs` (k, n).
+
+    A level within a relative 1e-9 of a projected endpoint, or an empty box
+    (a zero direction gives one), is degenerate.
+    """
+    a = np.einsum("kn,sn->ks", dirs, verts[:, 0, :])
+    b = np.einsum("kn,sn->ks", dirs, verts[:, 1, :])
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    blo = lo.min(axis=1)
+    bhi = hi.max(axis=1)
+    vol = bhi - blo
+    y = blo + u * vol
+    margin = 1e-9 * np.maximum(1.0, np.abs(y))[:, None]
+    inside = (y[:, None] > lo + margin) & (y[:, None] < hi - margin)
+    near = ((np.abs(y[:, None] - lo) <= margin) | (np.abs(y[:, None] - hi) <= margin))
+    degenerate = (vol <= 1e-12) | near.any(axis=1)
+    return vol * (inside * hw[None, :]).sum(axis=1), degenerate
+
+
+def _plane_values(frames: np.ndarray, u: np.ndarray, verts: np.ndarray,
+                  hw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2-chains: raw values and degenerate flags for projections `frames` (k, m, n).
+
+    A sample is degenerate when any simplex has a facet or tangent hit.
+    """
+    k, m, n = frames.shape
+    # One product projects every vertex under every frame: row = vertex, column
+    # = (sample, axis), so the box is a reduction over contiguous rows.
+    proj = verts.reshape(-1, n) @ frames.reshape(k * m, n).T
+    lo = proj.min(axis=0).reshape(k, m)
+    hi = proj.max(axis=0).reshape(k, m)
+    pv = proj.reshape(len(verts), m + 1, k, m).transpose(2, 0, 1, 3)
+    y = lo + u * (hi - lo)
+    x = _crossings(pv, y)
+    degenerate = (x.facet | x.tangent).any(axis=1)
+    return np.prod(hi - lo, axis=1) * (x.inside * hw[None, :]).sum(axis=1), degenerate
+
+
 def _raw_samples(p: PolyhedralChain, h: Integrand, samples: int, seed: int,
                  stream: int) -> tuple[np.ndarray, int]:
-    """Per-sample raw values boxvol * slice weighted mass; degenerates resampled."""
+    """Per-sample raw values boxvol * slice weighted mass; degenerates resampled.
+
+    Each resampling round draws all of its directions, then all of its levels,
+    from the Philox stream keyed by (seed, stream, round). The geometry then
+    runs in chunks of at most _CHUNK_PAIRS (sample, simplex) pairs, so the
+    chunking bounds memory without changing any output. 1-chains keep their
+    own endpoint-margin test (`_line_values`); 2-chains go through the
+    crossing kernel `_crossings` that `slice_chain` also uses
+    (`_plane_values`). A degenerate sample is drawn again in the next round.
+    """
     m, n = p.dim, p.ambient
-    verts = np.array([[[float(c) for c in v] for v in s] for s, _ in p.simplices], dtype=float)
-    weights = [abs(w) for _, w in p.simplices]
-    hw = np.array([float(h(w)) for w in weights], dtype=float)
+    verts = _vertex_array(p)
+    hw = np.array([float(h(abs(w))) for _, w in p.simplices], dtype=float)
+    chunk = max(1, _CHUNK_PAIRS // len(p.simplices))
     out = np.full(samples, np.nan, dtype=float)
     pending = np.arange(samples)
     resampled = 0
@@ -415,44 +526,22 @@ def _raw_samples(p: PolyhedralChain, h: Integrand, samples: int, seed: int,
             norms = np.linalg.norm(g, axis=1)
             u = rng.random(k)
             good_dir = norms > 1e-9
-            dirs = np.where(good_dir[:, None], g / np.maximum(norms, 1e-300)[:, None], 0.0)
-            # Projections of every simplex endpoint: (k, simplices, 2)
-            a = np.einsum("kn,sn->ks", dirs, verts[:, 0, :])
-            b = np.einsum("kn,sn->ks", dirs, verts[:, 1, :])
-            lo = np.minimum(a, b)
-            hi = np.maximum(a, b)
-            blo = lo.min(axis=1)
-            bhi = hi.max(axis=1)
-            vol = bhi - blo
-            y = blo + u * vol
-            margin = 1e-9 * np.maximum(1.0, np.abs(y))[:, None]
-            inside = (y[:, None] > lo + margin) & (y[:, None] < hi - margin)
-            near = ((np.abs(y[:, None] - lo) <= margin) | (np.abs(y[:, None] - hi) <= margin))
-            degenerate = ~good_dir | (vol <= 1e-12) | near.any(axis=1)
-            vals = vol * (inside * hw[None, :]).sum(axis=1)
-            ok = ~degenerate
-            out[pending[ok]] = vals[ok]
-            pending = pending[~ok]
-            resampled += int(degenerate.sum())
+            frames = np.where(good_dir[:, None], g / np.maximum(norms, 1e-300)[:, None], 0.0)
+            values = _line_values
         else:
-            done = []
-            for idx, i in enumerate(pending):
-                g = rng.standard_normal((n, m))
-                q, _ = np.linalg.qr(g)
-                pr = q[:, :m].T
-                pv = np.einsum("mn,svn->svm", pr, verts)
-                lo = pv.reshape(-1, m).min(axis=0)
-                hi = pv.reshape(-1, m).max(axis=0)
-                vol = float(np.prod(hi - lo))
-                y = lo + rng.random(m) * (hi - lo)
-                try:
-                    zc = slice_chain(p, pr, y)
-                except DegenerateSliceError:
-                    resampled += 1
-                    continue
-                out[i] = vol * zc.h_mass(h)
-                done.append(idx)
-            pending = np.delete(pending, done)
+            g = rng.standard_normal((k, n, m))
+            frames = np.linalg.qr(g)[0].swapaxes(1, 2)
+            u = rng.random((k, m))
+            values = _plane_values
+        vals = np.empty(k, dtype=float)
+        degenerate = np.empty(k, dtype=bool)
+        for lo in range(0, k, chunk):
+            part = slice(lo, lo + chunk)
+            vals[part], degenerate[part] = values(frames[part], u[part], verts, hw)
+        ok = ~degenerate
+        out[pending[ok]] = vals[ok]
+        pending = pending[degenerate]
+        resampled += int(degenerate.sum())
         round_no += 1
     return out, resampled
 
@@ -469,6 +558,8 @@ def mc_h_mass(p: PolyhedralChain, h: Integrand, samples: int, seed: int) -> McEs
         raise DomainError("need at least 2 samples")
     if p.is_zero:
         return McEstimate(0.0, 0.0, 1.0, samples, 0)
+    if p.dim not in (1, 2):
+        raise DomainError(f"Monte-Carlo mass needs a 1- or 2-chain, got a {p.dim}-chain")
     raw, resampled = _raw_samples(p, h, samples, seed, stream=0)
     ref = _unit_cube_chain(p.dim, p.ambient)
     cal_raw, _ = _raw_samples(ref, Integrand.identity(), samples, seed, stream=1)

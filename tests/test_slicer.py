@@ -2,12 +2,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from pplateau.complexes import Chain, boundary
+import pplateau.slicer as slicer
+from pplateau.complexes import CellComplex, Chain, boundary
 from pplateau.errors import DegenerateSliceError, DomainError
 from pplateau.functionals import Integrand
 from pplateau.slicer import (
+    McEstimate,
     PolyhedralChain,
     cone,
     cone_mass_bound,
@@ -24,10 +27,23 @@ from tcommon import interval, square
 
 IDENT = Integrand.identity()
 SQRT = Integrand.power(Fraction(1, 2))
+TABLE = Integrand.table([(0, 0), (1, 1), (2, Fraction(3, 2)), (4, 2)])
 
 P00, P10, P11, P01 = (0, 0), (1, 0), (1, 1), (0, 1)
 TRI = ((P00, P10, P11), 1)
 SEG2 = PolyhedralChain(1, 2, [(((0, 0), (1, 0)), 2)])
+F = Fraction
+POLYLINE_R3 = PolyhedralChain(1, 3, [
+    ((a, b), w) for a, b, w in zip(
+        [(0, -3, F(-5, 2)), (1, F(-4, 3), -6), (2, F(-5, 3), -1), (3, 6, F(-4, 3)),
+         (4, -2, -6), (5, -1, F(5, 2)), (6, 1, -1)],
+        [(1, F(-4, 3), -6), (2, F(-5, 3), -1), (3, 6, F(-4, 3)), (4, -2, -6),
+         (5, -1, F(5, 2)), (6, 1, -1)],
+        [-3, -3, -3, 5, 1, -1])])
+DOUBLED_SQUARE_R3 = PolyhedralChain(2, 3, [
+    (((0, 0, 0), (1, 0, 0), (1, 1, 0)), 2),
+    (((0, 0, 0), (1, 1, 0), (0, 1, 0)), 2),
+])
 
 
 def segment(a, b, w=1, ambient=2):
@@ -333,7 +349,7 @@ def test_mc_reproducible():
 
 def test_mc_regression_anchor():
     est = mc_h_mass(SEG2, SQRT, 50000, 42)
-    assert est.estimate == pytest.approx(1.4180203738334716, rel=1e-9)
+    assert est.estimate == 1.418020373833472
 
 
 def test_mc_identity_recovers_mass():
@@ -359,3 +375,227 @@ def test_mc_surface_area():
     ])
     est = mc_h_mass(sq, IDENT, 300, 3)
     assert est.estimate == pytest.approx(1.0, rel=0.2)
+
+
+# ------------------------------------------------- sampling: 1-chains pinned
+
+# Whole estimates recorded before the 2-chain sampler was batched; the 1-chain
+# path must reproduce them bit for bit.
+@pytest.mark.parametrize("chain, h, samples, seed, expected", [
+    (SEG2, SQRT, 4000, 42, McEstimate(1.4080259783959497, 0.010839717277765074,
+                                      0.634588370441533, 4000, 0)),
+    (SEG2, SQRT, 20000, 7, McEstimate(1.416069054074056, 0.004816830788518392,
+                                      0.6384385172075362, 20000, 0)),
+    (POLYLINE_R3, TABLE, 20000, 5, McEstimate(63.184871424482026, 0.21292401361886848,
+                                              0.49953792597154717, 20000, 0)),
+])
+def test_mc_one_chains_bit_identical(chain, h, samples, seed, expected):
+    assert mc_h_mass(chain, h, samples, seed) == expected
+
+
+# ------------------------------------------------- sampling: 2-chains
+
+def _unit_square(n):
+    a, b, c, d = ((x, y) + (0,) * (n - 2) for x, y in ((0, 0), (1, 0), (1, 1), (0, 1)))
+    return PolyhedralChain(2, n, [((a, b, c), 1), ((a, c, d), 1)])
+
+
+def _tilted_grid():
+    """2x2 grid of unit squares lifted to z = x/2 + y/3: each square has area 7/6."""
+    cx = CellComplex()
+    for i in range(3):
+        for j in range(3):
+            cx.add_cell(0, f"v{i}_{j}", 1)
+    for i in range(2):
+        for j in range(3):
+            cx.add_cell(1, f"h{i}_{j}", 1)
+            cx.add_face(1, f"h{i}_{j}", f"v{i}_{j}", -1)
+            cx.add_face(1, f"h{i}_{j}", f"v{i + 1}_{j}", 1)
+            cx.add_cell(1, f"u{j}_{i}", 1)
+            cx.add_face(1, f"u{j}_{i}", f"v{j}_{i}", -1)
+            cx.add_face(1, f"u{j}_{i}", f"v{j}_{i + 1}", 1)
+    weights = {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4}
+    for i, j in weights:
+        q = f"q{i}_{j}"
+        cx.add_cell(2, q, 1)
+        cx.add_face(2, q, f"h{i}_{j}", 1)
+        cx.add_face(2, q, f"u{i + 1}_{j}", 1)
+        cx.add_face(2, q, f"h{i}_{j + 1}", -1)
+        cx.add_face(2, q, f"u{i}_{j}", -1)
+    coords = {f"v{i}_{j}": (i, j, F(i, 2) + F(j, 3)) for i in range(3) for j in range(3)}
+    chain = Chain(2, {f"q{i}_{j}": w for (i, j), w in weights.items()})
+    return embed_chain(cx, chain, coords)
+
+
+TWO_CHAIN_CASES = {
+    # name: (chain, cost, exact H-mass)
+    "doubled-square-R3-sqrt": (DOUBLED_SQUARE_R3, SQRT, math.sqrt(2)),
+    "triangles-R2-sqrt": (
+        PolyhedralChain(2, 2, [(TRI[0], 3), (((0, 0), (0, 1), (-1, 0)), -2)]),
+        SQRT, 0.5 * math.sqrt(3) + 0.5 * math.sqrt(2)),
+    "tilted-grid-table": (_tilted_grid(), TABLE, F(7, 6) * (1 + F(3, 2) + F(7, 4) + 2)),
+    # the apex is collinear with the first segment, so that join is a flat
+    # triangle; the second join has area sqrt(6)/2 and weight 2
+    "cone-collinear-apex-sqrt": (
+        cone(PolyhedralChain(1, 3, [(((0, 0, 0), (1, 1, 1)), 1), (((1, 1, 1), (1, 2, 0)), 2)]),
+             (2, 2, 2)),
+        SQRT, math.sqrt(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_CHAIN_CASES))
+def test_mc_two_chains_within_five_sigma(name):
+    chain, h, exact = TWO_CHAIN_CASES[name]
+    assert poly_h_mass(chain, h) == pytest.approx(float(exact))
+    seed = 20_000
+    est = mc_h_mass(chain, h, 20_000, seed)
+    # The reported error covers the chain's own samples only; add the
+    # calibration's relative error, measured on the unit square with another seed.
+    ref = mc_h_mass(_unit_square(chain.ambient), IDENT, 20_000, seed + 1_000_003)
+    sigma = math.hypot(est.stderr, est.estimate * ref.stderr / ref.estimate)
+    assert abs(est.estimate - float(exact)) <= 5 * sigma, (est, exact, sigma)
+
+
+def test_mc_two_chain_reproducible():
+    a = mc_h_mass(DOUBLED_SQUARE_R3, SQRT, 2000, 42)
+    assert mc_h_mass(DOUBLED_SQUARE_R3, SQRT, 2000, 42) == a
+    assert mc_h_mass(DOUBLED_SQUARE_R3, SQRT, 2000, 43).estimate != a.estimate
+
+
+def test_mc_two_chain_regression_anchor():
+    # Recorded with the batched sampler. The 2-chain path goes through LAPACK
+    # (QR, det, solve), whose last bits may differ between builds.
+    est = mc_h_mass(DOUBLED_SQUARE_R3, SQRT, 2000, 42)
+    assert est.estimate == pytest.approx(1.3435560439098309, rel=1e-9)
+
+
+@pytest.mark.parametrize("chain", [POLYLINE_R3, TWO_CHAIN_CASES["tilted-grid-table"][0]],
+                         ids=["m1", "m2"])
+def test_mc_chunking_does_not_change_output(monkeypatch, chain):
+    monkeypatch.setattr(slicer, "_CHUNK_PAIRS", 1 << 40)
+    whole = mc_h_mass(chain, TABLE, 1500, 17)
+    monkeypatch.setattr(slicer, "_CHUNK_PAIRS", 7)  # one or two samples per chunk
+    assert mc_h_mass(chain, TABLE, 1500, 17) == whole
+
+
+def test_mc_two_chain_sampler_does_not_call_slice_chain(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the sampler must use the batched crossing kernel")
+    monkeypatch.setattr(slicer, "slice_chain", forbidden)
+    assert mc_h_mass(DOUBLED_SQUARE_R3, SQRT, 200, 1).samples == 200
+
+
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("sampled before checking the chain's dimension")
+
+
+def test_mc_rejects_point_chains(monkeypatch):
+    monkeypatch.setattr(slicer, "_raw_samples", _no_sampling)
+    with pytest.raises(DomainError):
+        mc_h_mass(PolyhedralChain(0, 2, [(((0, 0),), 1)]), IDENT, 100, 0)
+
+
+def test_mc_rejects_solid_chains_before_sampling(monkeypatch):
+    monkeypatch.setattr(slicer, "_raw_samples", _no_sampling)
+    tet = PolyhedralChain(3, 3, [(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)), 1)])
+    with pytest.raises(DomainError):
+        mc_h_mass(tet, IDENT, 2000, 0)
+    assert mc_h_mass(PolyhedralChain(3, 3), IDENT, 100, 0).estimate == 0.0
+
+
+def test_slice_skips_flat_simplices_off_their_line():
+    z = segment((0, 0), (1, 0)) + segment((1, 0), (1, 1))
+    fan = cone(z, (2, 0))  # the first join is flat, on the line y = 0
+    zc = slice_chain(fan, [[1.0, 0.0], [0.0, 1.0]], [1.5, 0.25])
+    assert [w for _, w in zc.points] == [-1]
+    assert zc.points[0][0] == pytest.approx((1.5, 0.25))
+    with pytest.raises(DegenerateSliceError, match="tangent"):
+        slice_chain(fan, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.0])
+
+
+def _reference_slice(p, pr, y):
+    """The per-simplex slicing loop, one LAPACK det and solve per simplex.
+
+    Returns the weighted points, or None when the slice is degenerate.
+    """
+    points = []
+    for verts, w in p.simplices:
+        vv = np.array([[float(c) for c in v] for v in verts])
+        edges = (vv[1:] - vv[0]).T
+        a = pr @ edges
+        rhs = y - pr @ vv[0]
+        det = float(np.linalg.det(a))
+        scale = float(np.prod(np.linalg.norm(a, axis=0))) or 1.0
+        if abs(det) <= 1e-12 * scale:
+            aug = np.concatenate([a, rhs.reshape(-1, 1)], axis=1)
+            if np.linalg.matrix_rank(aug, tol=1e-9) == np.linalg.matrix_rank(a, tol=1e-9):
+                return None
+            continue
+        lam = np.linalg.solve(a, rhs)
+        coords = list(lam) + [1.0 - float(lam.sum())]
+        if all(c > 1e-12 for c in coords):
+            points.append((vv[0] + edges @ lam, w * (1 if det > 0 else -1)))
+        elif all(c > -1e-12 for c in coords):
+            return None
+    return points
+
+
+def _two_chains_for_reference():
+    rng = random.Random(57)
+    chains = [_random_poly(rng, 2, 3, count=4) for _ in range(6)]
+    chains.append(TWO_CHAIN_CASES["cone-collinear-apex-sqrt"][0])
+    chains.append(TWO_CHAIN_CASES["tilted-grid-table"][0])
+    return chains
+
+
+def test_slice_chain_matches_per_simplex_reference():
+    nrng = np.random.default_rng(58)
+    checked = degenerate = 0
+    for p in _two_chains_for_reference():
+        verts = np.array([[[float(c) for c in v] for v in s] for s, _ in p.simplices])
+        for _ in range(60):
+            pr = np.linalg.qr(nrng.standard_normal((3, 2)))[0].T
+            pv = verts @ pr.T
+            if nrng.random() < 0.3:  # a projected vertex: on a facet or a flat simplex
+                y = pv[nrng.integers(len(pv)), nrng.integers(3)]
+            else:
+                y = pv.min(axis=(0, 1)) + nrng.random(2) * np.ptp(pv, axis=(0, 1))
+            want = _reference_slice(p, pr, y)
+            checked += 1
+            if want is None:
+                degenerate += 1
+                with pytest.raises(DegenerateSliceError):
+                    slice_chain(p, pr, y)
+                continue
+            got = slice_chain(p, pr, y).points
+            assert [w for _, w in got] == [w for _, w in want]
+            for (pt, _), (ref, _) in zip(got, want):
+                assert pt == pytest.approx(tuple(ref), abs=1e-12)
+    assert 0 < degenerate < checked
+
+
+def test_sampler_values_match_per_simplex_reference():
+    nrng = np.random.default_rng(59)
+    for p in _two_chains_for_reference():
+        verts = slicer._vertex_array(p)
+        hw = np.array([float(TABLE(abs(w))) for _, w in p.simplices])
+        frames = np.linalg.qr(nrng.standard_normal((200, 3, 2)))[0].swapaxes(1, 2)
+        u = nrng.random((200, 2))
+        for i in range(0, 200, 4):
+            # a level on a facet of some simplex: a facet hit, or a tangent
+            # hit when that simplex is flat
+            bary = nrng.random(3) * (np.arange(3) != nrng.integers(3))
+            point = bary / bary.sum() @ verts[nrng.integers(len(verts))]
+            pv = verts @ frames[i].T
+            lo, hi = pv.min(axis=(0, 1)), pv.max(axis=(0, 1))
+            u[i] = (frames[i] @ point - lo) / (hi - lo)
+        vals, degenerate = slicer._plane_values(frames, u, verts, hw)
+        assert degenerate.any()
+        for i in range(200):
+            pv = verts @ frames[i].T
+            lo, hi = pv.min(axis=(0, 1)), pv.max(axis=(0, 1))
+            want = _reference_slice(p, frames[i], lo + u[i] * (hi - lo))
+            assert degenerate[i] == (want is None)
+            if want is not None:
+                mass = sum(float(TABLE(abs(w))) for _, w in want)
+                assert vals[i] == pytest.approx(np.prod(hi - lo) * mass, rel=1e-12)
