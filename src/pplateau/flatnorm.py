@@ -109,41 +109,25 @@ def flat_norm_real(cx: CellComplex, t: Chain) -> FlatCertificate:
     """Exact real flat norm with a dual optimality certificate.
 
     The optimal filling is made canonical by re-minimizing each coefficient in
-    cell order subject to optimality, so ties resolve to the lexicographically
-    least optimal filling.
+    cell order over the optimal face, so ties resolve to the lexicographically
+    least optimal filling. This is one LP run: after the base optimum, columns
+    with positive reduced cost are fixed at zero and each coefficient is
+    minimized by phase 2 from the current basis (see `lp`). A coefficient that
+    is unbounded on the face (zero-measure cells) keeps the base solution's
+    value; if that pin conflicts with the earlier ones, the filling is the
+    base solution's.
     """
     cx.check_chain(t)
     dim = t.dim
     lp = _FlatLP(cx, dim)
-    cost = lp.cost()
     rows, rhs = lp.rows(t)
-    res = solve_lp(cost, rows, rhs)
+    res = solve_lp(lp.cost(), rows, rhs, lex=[lp.pin_row(tau) for tau in lp.taus])
     if res.status != OPTIMAL:
         raise DomainError(f"flat norm LP unexpectedly {res.status}")
-    value = res.value
     dual = Cochain(dim, {name: res.y[i] for i, name in enumerate(lp.sigmas) if res.y[i] != 0})
-
-    # Lexicographic tightening over the optimal face.
-    pin_rows: list[list[Fraction]] = []
-    pin_rhs: list[Fraction] = []
     filling = lp.filling_from(res.x)
-    for tau in lp.taus:
-        obj = lp.pin_row(tau)
-        sub = solve_lp(obj, rows + [cost] + pin_rows, rhs + [value] + pin_rhs)
-        if sub.status == OPTIMAL:
-            w = sub.value
-        else:
-            # Optimal face unbounded in this coordinate (zero-measure cell);
-            # keep the base solution's value for it.
-            w = Fraction(filling.get(tau))
-        pin_rows.append(obj)
-        pin_rhs.append(w)
-    if lp.taus:
-        final = solve_lp(cost, rows + [cost] + pin_rows, rhs + [value] + pin_rhs)
-        if final.status == OPTIMAL:
-            filling = lp.filling_from(final.x)
     remainder = t - boundary(cx, filling)
-    return FlatCertificate(value, filling, remainder, dual=dual)
+    return FlatCertificate(res.value, filling, remainder, dual=dual)
 
 
 def verify_real_certificate(cx: CellComplex, t: Chain, cert: FlatCertificate) -> bool:

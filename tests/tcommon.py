@@ -42,6 +42,44 @@ def square() -> CellComplex:
     return cx
 
 
+def grid(n: int) -> CellComplex:
+    """n x n grid of unit squares; square q{i}_{j} runs counterclockwise."""
+    cx = CellComplex()
+    for i in range(n + 1):
+        for j in range(n + 1):
+            cx.add_cell(0, f"v{i}_{j}", 1)
+    for i in range(n):
+        for j in range(n + 1):
+            cx.add_cell(1, f"h{i}_{j}", 1)
+            cx.add_face(1, f"h{i}_{j}", f"v{i}_{j}", -1)
+            cx.add_face(1, f"h{i}_{j}", f"v{i + 1}_{j}", 1)
+    for i in range(n + 1):
+        for j in range(n):
+            cx.add_cell(1, f"u{i}_{j}", 1)
+            cx.add_face(1, f"u{i}_{j}", f"v{i}_{j}", -1)
+            cx.add_face(1, f"u{i}_{j}", f"v{i}_{j + 1}", 1)
+    for i in range(n):
+        for j in range(n):
+            q = f"q{i}_{j}"
+            cx.add_cell(2, q, 1)
+            cx.add_face(2, q, f"h{i}_{j}", 1)
+            cx.add_face(2, q, f"u{i + 1}_{j}", 1)
+            cx.add_face(2, q, f"h{i}_{j + 1}", -1)
+            cx.add_face(2, q, f"u{i}_{j}", -1)
+    return cx
+
+
+def grid_outer_boundary(n: int) -> Chain:
+    """The counterclockwise outer boundary cycle of the n x n grid."""
+    coeffs = {}
+    for i in range(n):
+        coeffs[f"h{i}_0"] = 1
+        coeffs[f"h{i}_{n}"] = -1
+        coeffs[f"u{n}_{i}"] = 1
+        coeffs[f"u0_{i}"] = -1
+    return Chain(1, coeffs)
+
+
 def random_complex(rng: random.Random, max_cells: int = 12,
                    zero_share: float = 0.0) -> CellComplex:
     """Random 2-dimensional complex with balanced cell counts.

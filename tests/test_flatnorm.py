@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from pplateau.complexes import CellComplex, Chain, boundary, pair
+import pplateau.flatnorm as flatnorm
+from pplateau.complexes import CellComplex, Chain, Cochain, boundary, pair
 from pplateau.errors import DomainError
 from pplateau.flatnorm import (
+    FlatCertificate,
+    _FlatLP,
     certificates_agree,
     enumerate_flat_integral,
     flat_distance_integral,
@@ -14,8 +17,9 @@ from pplateau.flatnorm import (
     verify_real_certificate,
 )
 from pplateau.functionals import Integrand, h_mass, mass
+from pplateau.lp import OPTIMAL, solve_lp
 
-from tcommon import interval, random_chain, random_complex, square
+from tcommon import grid, grid_outer_boundary, interval, random_chain, random_complex, square
 
 
 def test_interval_boundary_fills_cheaply():
@@ -219,3 +223,82 @@ def test_negative_cap_rejected():
     cx = interval()
     with pytest.raises(DomainError):
         flat_distance_integral(cx, Chain(0, {"a": 1}), Chain(0, {}), cap=-1)
+
+
+def from_scratch_flat_norm(cx, t):
+    """Reference real flat norm with one fresh LP per tightening stage.
+
+    The base LP, then per (m+1)-cell in order an LP minimizing its coefficient
+    over the optimal set with the earlier coefficients pinned (at the base
+    solution's value when that LP has no optimum), then a final LP over all
+    pins; if that one is infeasible the base filling stands. Returns the
+    certificate and the number of stages without an optimum.
+    """
+    lp = _FlatLP(cx, t.dim)
+    cost = lp.cost()
+    rows, rhs = lp.rows(t)
+    res = solve_lp(cost, rows, rhs)
+    assert res.status == OPTIMAL
+    value = res.value
+    dual = Cochain(t.dim, {name: res.y[i] for i, name in enumerate(lp.sigmas) if res.y[i] != 0})
+    pin_rows, pin_rhs = [], []
+    filling = lp.filling_from(res.x)
+    open_stages = 0
+    for tau in lp.taus:
+        obj = lp.pin_row(tau)
+        sub = solve_lp(obj, rows + [cost] + pin_rows, rhs + [value] + pin_rhs)
+        if sub.status == OPTIMAL:
+            w = sub.value
+        else:
+            open_stages += 1
+            w = Fraction(filling.get(tau))
+        pin_rows.append(obj)
+        pin_rhs.append(w)
+    if lp.taus:
+        final = solve_lp(cost, rows + [cost] + pin_rows, rhs + [value] + pin_rhs)
+        if final.status == OPTIMAL:
+            filling = lp.filling_from(final.x)
+    return FlatCertificate(value, filling, t - boundary(cx, filling), dual=dual), open_stages
+
+
+def test_real_flat_norm_matches_from_scratch_stages():
+    """Identical value, filling, remainder and dual on 200 instances, half of
+    them with zero-measure cells, where some stages have no optimum."""
+    rng = random.Random(7)
+    unbounded = 0
+    for i in range(200):
+        cx = random_complex(rng, zero_share=0.25 if i % 2 else 0.0)
+        t = random_chain(rng, cx, 1)
+        cert = flat_norm_real(cx, t)
+        ref, open_stages = from_scratch_flat_norm(cx, t)
+        unbounded += open_stages > 0
+        assert (cert.value, cert.filling, cert.remainder, cert.dual) == \
+            (ref.value, ref.filling, ref.remainder, ref.dual)
+        assert verify_real_certificate(cx, t, cert)
+    assert unbounded >= 10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_grid_outer_boundary_real_flat_norm(n):
+    cx = grid(n)
+    t = grid_outer_boundary(n)
+    cert = flat_norm_real(cx, t)
+    assert cert.value == min(n * n, 4 * n)
+    assert verify_real_certificate(cx, t, cert)
+
+
+@pytest.mark.parametrize("n, pivots", [(3, 51), (4, 73)])
+def test_real_flat_norm_is_one_lp_with_pinned_pivots(monkeypatch, n, pivots):
+    """One LP call per real flat norm. The 3x3 optimum is unique, so its
+    stages pivot no more; the 4x4 grid ties filling and remainder at 16, and
+    tightening moves from the base filling to the empty one."""
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(solve_lp(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(flatnorm, "solve_lp", recording)
+    cert = flat_norm_real(grid(n), grid_outer_boundary(n))
+    assert cert.value == min(n * n, 4 * n)
+    assert [r.pivots for r in results] == [pivots]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pplateau.errors import DomainError
-from pplateau.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp, verify_certificate
+from pplateau.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, solve_lp, verify_certificate
 
 
 def brute_force_min(c, rows, b):
@@ -134,15 +135,33 @@ def test_degenerate_pivoting_terminates():
     assert res.value == -Fraction(1, 20)
 
 
-def test_random_instances_against_brute_force():
+def feasible_instances():
+    """120 LPs with c >= 0 (never unbounded) and a feasible point by construction."""
     rng = random.Random(31)
     for _ in range(120):
         m = rng.randint(1, 3)
         n = rng.randint(m, 5)
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
-        c = [Fraction(rng.randint(0, 4)) for _ in range(n)]  # c >= 0: never unbounded
+        c = [Fraction(rng.randint(0, 4)) for _ in range(n)]
         x0 = [Fraction(rng.randint(0, 3)) for _ in range(n)]
         b = [sum(row[j] * x0[j] for j in range(n)) for row in rows]
+        yield c, rows, b
+
+
+def signed_instances():
+    """60 LPs with signed costs and right-hand sides, any status."""
+    rng = random.Random(32)
+    for _ in range(60):
+        m = rng.randint(1, 3)
+        n = rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
+        c = [Fraction(rng.randint(-1, 3)) for _ in range(n)]
+        b = [Fraction(rng.randint(-2, 2)) for _ in range(m)]
+        yield c, rows, b
+
+
+def test_random_instances_against_brute_force():
+    for c, rows, b in feasible_instances():
         res = solve_lp(c, rows, b)
         assert res.status == OPTIMAL  # x0 is feasible by construction
         expect = brute_force_min(c, rows, b)
@@ -152,15 +171,114 @@ def test_random_instances_against_brute_force():
 
 
 def test_random_duals_are_exact_certificates():
-    rng = random.Random(32)
-    for _ in range(60):
-        m = rng.randint(1, 3)
-        n = rng.randint(1, 5)
-        rows = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
-        c = [Fraction(rng.randint(-1, 3)) for _ in range(n)]
-        b = [Fraction(rng.randint(-2, 2)) for _ in range(m)]
+    for c, rows, b in signed_instances():
         res = solve_lp(c, rows, b)
         if res.status != OPTIMAL:
             continue
         assert sum(yi * bi for yi, bi in zip(res.y, b)) == res.value
         assert verify_certificate(c, rows, b, res.x, res.y)
+
+
+# SHA-256 of repr([(status, value, x, y), ...]) over feasible_instances() then
+# signed_instances(), recorded with the solver before lexicographic stages
+# existed (it re-solved one LP per stage from scratch).
+FROM_SCRATCH_DIGEST = "f6b21115e5c59c160ee0e4dc787aa92f767d70b3d42dc03607895d278a61c527"
+
+
+def test_empty_lex_is_bit_identical_to_the_plain_solver():
+    results = []
+    for c, rows, b in itertools.chain(feasible_instances(), signed_instances()):
+        res = solve_lp(c, rows, b, lex=())
+        assert res == solve_lp(c, rows, b)
+        results.append((res.status, res.value, res.x, res.y))
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == FROM_SCRATCH_DIGEST
+
+
+def dot(u, v):
+    return sum(Fraction(a) * b for a, b in zip(u, v))
+
+
+def test_lex_order_decides_on_a_degenerate_face():
+    # min x0 + x1 + 2 x2 on x0 + x1 + x2 = 1: the optimal face is the edge
+    # x0 + x1 = 1, x2 = 0 (reduced cost 1 on x2), and the base vertex is x0 = 1.
+    c, rows, b = [1, 1, 2], [[1, 1, 1]], [1]
+    base = solve_lp(c, rows, b)
+    assert base.x == (1, 0, 0) and base.value == 1 and base.y == (1,)
+    first_x0 = solve_lp(c, rows, b, lex=[[1, 0, 0], [0, 1, 0]])
+    first_x1 = solve_lp(c, rows, b, lex=[[0, 1, 0], [1, 0, 0]])
+    assert first_x0.x == (0, 1, 0)
+    assert first_x1.x == (1, 0, 0)
+    # Maximizing x2 would leave the face; on the face x2 is fixed at zero.
+    leave = solve_lp(c, rows, b, lex=[[0, 0, -1], [1, 0, 0]])
+    assert leave.x == (0, 1, 0)
+    for res in (first_x0, first_x1, leave):
+        assert (res.status, res.value, res.y) == (OPTIMAL, base.value, base.y)
+        assert verify_certificate(c, rows, b, res.x, res.y)
+
+
+def test_unbounded_stage_pins_the_base_value():
+    # Every feasible point is optimal (c = 0) and x1 = x0 + x2 - 1 is unbounded.
+    # Stage 1 (min -x1) has no minimum, so x1 keeps its base value 0; stage 2
+    # then finds min x0 = 1. Without that pin, stage 2 would reach x0 = 0.
+    c, rows, b = [0, 0, 0], [[1, 1, -1]], [1]
+    assert solve_lp(c, rows, b).x == (1, 0, 0)
+    assert solve_lp(c, rows, b, lex=[[1, 0, 0]]).x == (0, 1, 0)
+    res = solve_lp(c, rows, b, lex=[[0, -1, 0], [1, 0, 0]])
+    assert res.status == OPTIMAL
+    assert res.x == (1, 0, 0)
+
+
+def test_pin_that_cannot_be_met_returns_the_base_optimum():
+    # Stage 1 gives min x0 = 0, which forces x1 = 1 + x2 >= 1. Stage 2
+    # (min -x1) is unbounded, and its pin x1 = 0 (the base value) conflicts
+    # with stage 1's, so the result is the base optimum.
+    c, rows, b = [0, 0, 0], [[1, 1, -1]], [1]
+    base = solve_lp(c, rows, b)
+    res = solve_lp(c, rows, b, lex=[[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+    assert (res.status, res.value, res.x, res.y) == (OPTIMAL, base.value, base.x, base.y)
+    assert res.pivots > base.pivots
+
+
+def test_lex_without_constraints_runs_its_stages():
+    # m = 0: the base optimum is x = 0 and every stage still runs. A stage
+    # unbounded on the face appends its pin as the first row.
+    assert solve_lp([0, 0], [], [], lex=[[1, 1]]) == \
+        solve_lp([0, 0], [], []) == LPResult(OPTIMAL, 0, (0, 0), (), 0)
+    res = solve_lp([0, 0], [], [], lex=[[-1, 1], [-1, 0]])
+    assert (res.status, res.value, res.x, res.y) == (OPTIMAL, 0, (0, 0), ())
+    assert res.pivots == 2  # one pivot takes each pin row's artificial out of the basis
+    assert solve_lp([-1, 0], [], [], lex=[[1, 0]]).status == UNBOUNDED
+    with pytest.raises(DomainError):
+        solve_lp([0, 0], [], [], lex=[[1]])
+
+
+def test_lex_matches_from_scratch_stages_on_randoms():
+    """Against one fresh LP per stage over the optimal set: the stage values
+    agree, or the pins conflict and both keep the base optimum."""
+    rng = random.Random(5)
+    unbounded = 0
+    for _ in range(300):
+        m = rng.randint(0, 3)
+        n = rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
+        c = [Fraction(rng.choice((0, 0, 1, 2))) for _ in range(n)]
+        x0 = [Fraction(rng.randint(0, 2)) for _ in range(n)]
+        b = [dot(row, x0) for row in rows]
+        lex = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        base = solve_lp(c, rows, b)
+        res = solve_lp(c, rows, b, lex=lex)
+        assert (res.status, res.value, res.y) == (base.status, base.value, base.y)
+        if base.status != OPTIMAL:
+            continue
+        pins, pin_rhs = [], []
+        for obj in lex:
+            sub = solve_lp(obj, rows + [c] + pins, b + [base.value] + pin_rhs)
+            unbounded += sub.status == UNBOUNDED
+            pins.append(obj)
+            pin_rhs.append(sub.value if sub.status == OPTIMAL else dot(obj, base.x))
+        if solve_lp(c, rows + [c] + pins, b + [base.value] + pin_rhs).status == OPTIMAL:
+            assert [dot(obj, res.x) for obj in lex] == pin_rhs
+        else:
+            assert res.x == base.x
+        assert verify_certificate(c, rows, b, res.x, res.y)
+    assert unbounded > 0
