@@ -48,6 +48,7 @@ class LPResult:
     x: Optional[tuple[Fraction, ...]] = None
     y: Optional[tuple[Fraction, ...]] = None  # dual vector, one entry per constraint row
     pivots: int = 0  # simplex pivots over all phases and lexicographic stages
+    pinned: int = 0  # lexicographic stages unbounded on the face, pinned at the base value
 
 
 class _Tableau:
@@ -203,13 +204,16 @@ def solve_lp(c: Sequence, a_rows: Sequence[Sequence], b: Sequence,
     face = [j for j in range(n) if tab.d[j] == 0]
     tab.rows = [row[:n] + [row[-1]] for row in tab.rows]  # B^-1 is no longer needed
     tab.ncols = n + 1
+    pinned = 0
     for k, obj in enumerate(stages):
         tab.price(obj)
         if tab.run(face) == OPTIMAL:
             face = [j for j in face if tab.d[j] == 0]
-        elif not tab.pin(obj, sum(o * xv for o, xv in zip(obj, x)), width + k, face):
-            return LPResult(OPTIMAL, value, tuple(x), y, tab.pivots)
-    return LPResult(OPTIMAL, value, tuple(tab.point(n)), y, tab.pivots)
+        elif tab.pin(obj, sum(o * xv for o, xv in zip(obj, x)), width + k, face):
+            pinned += 1
+        else:
+            return LPResult(OPTIMAL, value, tuple(x), y, tab.pivots, pinned)
+    return LPResult(OPTIMAL, value, tuple(tab.point(n)), y, tab.pivots, pinned)
 
 
 def verify_certificate(c: Sequence, a_rows: Sequence[Sequence], b: Sequence,

@@ -5,14 +5,17 @@ prescribed (m-1)-chain B, minimize H-weighted mass minus the pairing of a
 fixed cochain with boundary(T). The energy separates per m-cell once the
 pairing is folded into per-cell linear terms, so branch-and-bound gets exact
 lower bounds by summing each free cell's cheapest contribution over its own
-coefficient box; the coupling lives entirely in the per-edge boundary
+coefficient domain; the coupling lives entirely in the per-edge boundary
 intervals, enforced incrementally with interval arithmetic.
 
 Coefficient caps are either supplied or derived from the energy budget of the
 reference chain T0: any T whose energy does not exceed T0's has weighted mass
 at most h_mass(T0) + mass(B) * comass(phi), which bounds each coefficient
-through the cost's upper inverse. T0 is always admissible, so the search
-space is never empty and the derived box provably contains every minimizer.
+through the cost's upper inverse. T0 is always admissible, so the derived
+box provably contains every minimizer. The caps are the box a solution
+reports (and `bounds_active` refers to); the search runs on the domains
+inside it that bounds-consistency propagation over the per-edge rows leaves,
+which drops only values no admissible chain in the box takes.
 
 Search visits coefficient vectors in ascending lexicographic order over the
 complex's fixed cell order; minimizer lists come out lex-sorted and the
@@ -23,7 +26,6 @@ routes set-comparable.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -82,6 +84,8 @@ def derive_bounds(p: Problem) -> dict[str, int]:
     boundary pairing differs from T0's by at most mass(B) * comass(phi), so
     the weighted mass of T is at most h_mass(T0) + mass(B) * comass(phi).
     Each single coefficient then satisfies H(|t|) * measure <= budget.
+    These caps are the box `solve` reports; it searches the propagated
+    domains inside them, which can be far narrower.
     """
     budget = h_mass(p.cx, p.reference, p.h) + mass(p.cx, p.budget_chain) * comass(p.cx, p.phi)
     caps = {}
@@ -116,9 +120,8 @@ def _resolve_caps(p: Problem, caps: Optional[Caps]) -> dict[str, int]:
 class _Instance:
     """Precomputed per-cell data shared by the search and the oracle."""
 
-    def __init__(self, p: Problem, caps: dict[str, int]):
+    def __init__(self, p: Problem):
         self.p = p
-        self.caps = caps
         cx = p.cx
         self.names = cx.cell_names(p.dim)
         box = boundary_box(cx, p.budget_chain, p.reference)
@@ -155,37 +158,84 @@ class _Instance:
     def contrib(self, name: str, t: int) -> Number:
         return self.h_of(abs(t)) * self.mu[name] - t * self.q[name]
 
-    def domain(self, name: str) -> list[int]:
-        """Cap box intersected with constraints from edges only this cell touches."""
-        cap = self.caps[name]
-        lo, hi = -cap, cap
-        for e, sign in self.rows[name].items():
-            cofaces = self.p.cx.cofaces(self.p.dim, e)
-            if len(cofaces) == 1:
-                blo, bhi = self.box[e]
-                bounds = sorted((Fraction(blo, sign), Fraction(bhi, sign)))
-                lo = max(lo, math.ceil(bounds[0]))
-                hi = min(hi, math.floor(bounds[1]))
-        return list(range(lo, hi + 1))
+
+def _quotients(u: int, w: int, s: int) -> tuple[int, int]:
+    """The integers t with u <= s * t <= w, as inclusive ends (first > last
+    when there are none); dividing by a negative s swaps u and w."""
+    if s < 0:
+        u, w = w, u
+    return -(-u // s), w // s
+
+
+def _propagate(touch: dict[str, list[tuple[str, int]]], box: dict[str, tuple[int, int]],
+               caps: dict[str, int]) -> dict[str, range]:
+    """Bounds-consistent coefficient domains inside the cap box.
+
+    Each (m-1)-cell row reads lo <= sum(s * t) <= hi over its cofaces. A term
+    s * t can reach at most what the box leaves after the other terms take
+    their extremes, so its cell's interval shrinks to that range, rounded
+    inward. Rows are revised until none shrinks a domain: the fixed point
+    drops only values no admissible chain in the cap box takes, and the loop
+    ends because every revision that requeues a row strictly shrinks a finite
+    integer interval.
+    """
+    lo = {name: -cap for name, cap in caps.items()}
+    hi = dict(caps)
+    rows_of: dict[str, list[str]] = {name: [] for name in caps}
+    for e, row in touch.items():
+        for name, _ in row:
+            rows_of[name].append(e)
+    pending = [e for e, row in touch.items() if row]
+    queued = set(pending)
+    while pending:
+        e = pending.pop()
+        queued.discard(e)
+        blo, bhi = box[e]
+        terms = [sorted((s * lo[n], s * hi[n])) for n, s in touch[e]]
+        least = sum(a for a, _ in terms)
+        most = sum(b for _, b in terms)
+        for (n, s), (a, b) in zip(touch[e], terms):
+            t_lo, t_hi = _quotients(blo - (most - b), bhi - (least - a), s)
+            new_lo = max(lo[n], t_lo)
+            new_hi = min(hi[n], t_hi)
+            if new_lo > new_hi:
+                raise DomainError("infeasible constraints: a cell's coefficient box is empty")
+            if (new_lo, new_hi) != (lo[n], hi[n]):
+                lo[n], hi[n] = new_lo, new_hi
+                for f in rows_of[n]:
+                    if f not in queued:
+                        queued.add(f)
+                        pending.append(f)
+    return {name: range(lo[name], hi[name] + 1) for name in caps}
 
 
 def solve(p: Problem, caps: Optional[Caps] = None,
           max_minimizers: Optional[int] = DEFAULT_MINIMIZER_LIMIT) -> Solution:
     """Branch-and-bound over admissible chains; reports all minimizers (to a limit).
 
-    Pruning is twofold: per-edge interval arithmetic discards assignments that
-    cannot reach the boundary box, and the exact separable bound (fixed cells'
-    contributions plus each free cell's cheapest value over its own box)
+    Each cell branches over its propagated domain (see `_propagate`). Pruning
+    is twofold: per-edge interval arithmetic over the unassigned cells'
+    domains narrows each branching cell to the values that can still reach
+    every boundary box, and the exact separable bound (fixed cells'
+    contributions plus each free cell's cheapest value over its domain)
     discards subtrees that cannot strictly beat the incumbent. Subtrees that
     could merely tie are kept, so the minimizer set is complete.
     """
     cap_map = _resolve_caps(p, caps)
-    inst = _Instance(p, cap_map)
+    inst = _Instance(p)
     names = inst.names
+    box = {e: (int(lo), int(hi)) for e, (lo, hi) in inst.box.items()}
 
-    domains = {name: inst.domain(name) for name in names}
-    if any(not d for d in domains.values()):
-        raise DomainError("infeasible constraints: a cell's coefficient box is empty")
+    # Coface index: the cells and incidences of each (m-1)-cell's row.
+    touch: dict[str, list[tuple[str, int]]] = {e: [] for e in inst.edges}
+    for name in names:
+        for e, sign in inst.rows[name].items():
+            touch[e].append((name, sign))
+    domains = _propagate(touch, box, cap_map)
+    for e, (lo, hi) in box.items():
+        if not touch[e] and not lo <= 0 <= hi:
+            raise DomainError(f"infeasible constraints: edge {e!r} box excludes 0 "
+                              "and no cell reaches it")
 
     contrib_tab = {name: {v: inst.contrib(name, v) for v in domains[name]} for name in names}
     min_contrib = {name: min(tab.values()) for name, tab in contrib_tab.items()}
@@ -193,18 +243,22 @@ def solve(p: Problem, caps: Optional[Caps] = None,
     for i in range(len(names) - 1, -1, -1):
         suffix_min[i] = suffix_min[i + 1] + min_contrib[names[i]]
 
-    # Per-edge running state: partial sum and spread still available from
-    # unassigned cells. Edges no cell touches must already contain 0.
-    touch: dict[str, list[tuple[str, int]]] = {e: [] for e in inst.edges}
-    for name in names:
-        for e, sign in inst.rows[name].items():
-            touch[e].append((name, sign))
-    for e, (lo, hi) in inst.box.items():
-        if not touch[e] and not lo <= 0 <= hi:
-            raise DomainError(f"infeasible constraints: edge {e!r} box excludes 0 "
-                              "and no cell reaches it")
-    spread = {e: sum(abs(s) * cap_map[n] for n, s in touch[e]) for e in inst.edges}
+    # Per-edge running state: the assigned cells' partial sum, and the least
+    # and greatest sums the unassigned cells' domains can still add. A cell's
+    # entries carry its own term's extremes, taken out while it branches, and
+    # its edges' boxes.
+    entries: dict[str, list[tuple[str, int, int, int, int, int]]] = {}
     psum = {e: 0 for e in inst.edges}
+    rest_lo = {e: 0 for e in inst.edges}
+    rest_hi = {e: 0 for e in inst.edges}
+    for name in names:
+        d = domains[name]
+        entries[name] = []
+        for e, s in inst.rows[name].items():
+            a, b = sorted((s * d[0], s * d[-1]))
+            entries[name].append((e, s, a, b, *box[e]))
+            rest_lo[e] += a
+            rest_hi[e] += b
 
     limit = max_minimizers if max_minimizers is not None else None
     best: Optional[Number] = None
@@ -231,30 +285,33 @@ def solve(p: Problem, caps: Optional[Caps] = None,
                     truncated = True
             return
         name = names[i]
-        edges_here = list(inst.rows[name].items())
-        for e, s in edges_here:
-            spread[e] -= abs(s) * cap_map[name]
-        for v in domains[name]:
-            ok = True
-            for e, s in edges_here:
-                psum[e] += s * v
-                lo, hi = inst.box[e]
-                if psum[e] - spread[e] > hi or psum[e] + spread[e] < lo:
-                    ok = False
-                psum[e] -= s * v
-                if not ok:
-                    break
-            if not ok:
-                continue
-            for e, s in edges_here:
+        here = entries[name]
+        # The values that keep every edge's reachable range meeting its box.
+        d = domains[name]
+        first, last = d[0], d[-1]
+        for e, s, a, b, lo, hi in here:
+            rl = rest_lo[e] - a
+            rh = rest_hi[e] - b
+            rest_lo[e] = rl
+            rest_hi[e] = rh
+            v_lo, v_hi = _quotients(lo - psum[e] - rh, hi - psum[e] - rl, s)
+            if v_lo > first:
+                first = v_lo
+            if v_hi < last:
+                last = v_hi
+        row = inst.rows[name].items()
+        tab = contrib_tab[name]
+        for v in range(first, last + 1):
+            for e, s in row:
                 psum[e] += s * v
             assigned[name] = v
-            descend(i + 1, acc + contrib_tab[name][v])
+            descend(i + 1, acc + tab[v])
             del assigned[name]
-            for e, s in edges_here:
+            for e, s in row:
                 psum[e] -= s * v
-        for e, s in edges_here:
-            spread[e] += abs(s) * cap_map[name]
+        for e, _, a, b, _, _ in here:
+            rest_lo[e] += a
+            rest_hi[e] += b
 
     descend(0, Fraction(0) if p.h.is_exact else 0.0)
     if best is None:
@@ -275,7 +332,7 @@ def exhaustive_oracle(p: Problem, caps: Optional[Caps] = None,
     boxes larger than a safety limit.
     """
     cap_map = _resolve_caps(p, caps)
-    inst = _Instance(p, cap_map)
+    inst = _Instance(p)
     names = inst.names
 
     size = 1

@@ -81,13 +81,14 @@ def grid_outer_boundary(n: int) -> Chain:
 
 
 def random_complex(rng: random.Random, max_cells: int = 12,
-                   zero_share: float = 0.0) -> CellComplex:
+                   zero_share: float = 0.0, signs: tuple = (-1, 1)) -> CellComplex:
     """Random 2-dimensional complex with balanced cell counts.
 
-    Incidence signs are arbitrary, so boundary-of-boundary need not vanish;
-    fine for solver and functional tests, which never differentiate twice.
-    With `zero_share` > 0 each cell gets measure 0 with that probability; at
-    the default 0 no extra draws are made, so existing seeds are unchanged.
+    Incidence signs are drawn from `signs` and are otherwise arbitrary, so
+    boundary-of-boundary need not vanish; fine for solver and functional
+    tests, which never differentiate twice. With `zero_share` > 0 each cell
+    gets measure 0 with that probability; at the default 0 no extra draws are
+    made, so existing seeds are unchanged.
     """
     n0 = rng.randint(1, 4)
     n1 = rng.randint(2, 5)
@@ -107,11 +108,11 @@ def random_complex(rng: random.Random, max_cells: int = 12,
     for i in range(n2):
         for j in range(n1):
             if rng.random() < 0.6:
-                cx.add_face(2, f"f{i}", f"e{j}", rng.choice((-1, 1)))
+                cx.add_face(2, f"f{i}", f"e{j}", rng.choice(signs))
     for j in range(n1):
         for k in range(n0):
             if rng.random() < 0.5:
-                cx.add_face(1, f"e{j}", f"v{k}", rng.choice((-1, 1)))
+                cx.add_face(1, f"e{j}", f"v{k}", rng.choice(signs))
     return cx
 
 

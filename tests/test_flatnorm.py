@@ -278,6 +278,26 @@ def test_real_flat_norm_matches_from_scratch_stages():
     assert unbounded >= 10
 
 
+def test_real_flat_norm_reports_pinned_stages(monkeypatch):
+    """`LPResult.pinned` counts the tightening stages unbounded on the optimal
+    face (zero-measure cells), where no least filling coefficient exists."""
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(solve_lp(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(flatnorm, "solve_lp", recording)
+    rng = random.Random(7)
+    for i in range(400):
+        cx = random_complex(rng, zero_share=0.25 if i % 2 else 0.0)
+        flat_norm_real(cx, random_chain(rng, cx, 1))
+    assert len(results) == 400
+    assert sum(r.pinned > 0 for r in results) == 28
+    assert sum(r.pinned for r in results) == 34
+    assert all(r.pinned == 0 for r in results[::2])  # no zero-measure cells
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_grid_outer_boundary_real_flat_norm(n):
     cx = grid(n)

@@ -239,6 +239,17 @@ def test_pin_that_cannot_be_met_returns_the_base_optimum():
     assert res.pivots > base.pivots
 
 
+def test_pinned_counts_the_stages_held_at_the_base_value():
+    c, rows, b = [0, 0, 0], [[1, 1, -1]], [1]
+    assert solve_lp(c, rows, b).pinned == 0
+    assert solve_lp(c, rows, b, lex=[[1, 0, 0]]).pinned == 0  # the stage has a minimum
+    assert solve_lp(c, rows, b, lex=[[0, -1, 0], [1, 0, 0]]).pinned == 1
+    # The second stage's pin conflicts with the first stage's optimum, so
+    # nothing is held and the base optimum comes back.
+    assert solve_lp(c, rows, b, lex=[[1, 0, 0], [0, -1, 0], [0, 0, 1]]).pinned == 0
+    assert solve_lp([0, 0], [], [], lex=[[-1, 1], [-1, 0]]).pinned == 2
+
+
 def test_lex_without_constraints_runs_its_stages():
     # m = 0: the base optimum is x = 0 and every stage still runs. A stage
     # unbounded on the face appends its pin as the first row.

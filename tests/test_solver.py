@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from pplateau.errors import DomainError, SearchSpaceError
 from pplateau.functionals import Integrand, energy
 from pplateau.numeric import values_equal
 from pplateau.solver import (
+    _propagate,
     CertifyReport,
     Problem,
     Solution,
@@ -17,6 +19,7 @@ from pplateau.solver import (
     solve,
 )
 from pplateau.subcurrent import is_subcurrent
+from pplateau.sunflower import as_problem, build_sunflower
 
 from tcommon import (
     chain_dicts,
@@ -28,6 +31,8 @@ from tcommon import (
 )
 
 IDENT = Integrand.identity()
+SQRT = Integrand.power(Fraction(1, 2))
+QUART = Integrand.power(Fraction(1, 4))
 ZERO0 = Chain(0, {})
 ZERO1 = Chain(1, {})
 
@@ -312,3 +317,160 @@ def test_certify_accepts_clean_report():
     rep = certify(p, s)
     assert isinstance(rep, CertifyReport)
     assert rep.ok and rep.entries == ()
+
+
+# ---------------------------------------------------------------- propagation
+
+CANON = (2, 2, 2, 2, 1, 1, 0, 0)  # the canonical 8-petal sunflower
+HALF = Fraction(1, 2)
+K16 = (1, 0, 2, HALF, 0, 2, 1, HALF, 0, 2, 1, 3 * HALF, 2, 0, 0, 3 * HALF)
+
+
+def test_quarter_power_sunflower_searches_the_propagated_disk():
+    # Under H(k) = k^(1/4) the derived disk cap is 810,000, but the petal rows
+    # leave the disk only -2..1, and the search runs over that.
+    s = build_sunflower(8, CANON, -10)
+    p = as_problem(s, QUART)
+    sol = solve(p)
+    assert chain_dicts(sol.minimizers) == [{"disk": -2}]
+    assert sol.value == energy(s.cx, Chain(2, {"disk": -2}), p.h, p.phi)
+    assert sol.caps["disk"] == 810000  # the derived box is still the one reported
+    assert not sol.bounds_active and not sol.truncated
+    assert sol.nodes_visited == 13
+
+
+@pytest.mark.parametrize("petals, disk, h, caps, nodes", [
+    (CANON, -10, IDENT, 2, 13),
+    (CANON, -10, SQRT, None, 13),
+    (K16, 7, SQRT, None, 881),  # disk pairing 7 is this scenario's upper threshold
+])
+def test_sunflower_node_counts(petals, disk, h, caps, nodes):
+    p = as_problem(build_sunflower(len(petals), petals, disk), h)
+    sol = solve(p, caps=caps)
+    assert certify(p, sol).ok
+    assert sol.nodes_visited == nodes
+
+
+def _random_rows(rng):
+    """Rows lo <= sum(s * t) <= hi over three or four cells, caps 0-3."""
+    cells = [f"c{i}" for i in range(rng.randint(3, 4))]
+    caps = {c: rng.randint(0, 3) for c in cells}
+    touch, box = {}, {}
+    for r in range(rng.randint(1, 4)):
+        members = rng.sample(cells, rng.randint(1, len(cells)))
+        touch[f"r{r}"] = [(c, rng.choice((-3, -2, -1, 1, 2, 3))) for c in members]
+        lo = rng.randint(-5, 5)
+        box[f"r{r}"] = (lo, lo + rng.randint(0, 3))
+    return cells, caps, touch, box
+
+
+def test_propagated_domains_are_sound_and_bounds_consistent():
+    """Against enumeration of the cap box: every admissible point lies in the
+    domains, and the pass raises only when there is none. At the fixed point
+    each domain end has support in each of its rows: with the other cells at
+    their domain extremes, the row still reaches its box."""
+    rng = random.Random(55)
+    raised = shrunk = 0
+    for _ in range(300):
+        cells, caps, touch, box = _random_rows(rng)
+        admissible = [
+            t for t in itertools.product(*(range(-caps[c], caps[c] + 1) for c in cells))
+            if all(box[e][0] <= sum(s * t[cells.index(c)] for c, s in row) <= box[e][1]
+                   for e, row in touch.items())]
+        try:
+            dom = _propagate(touch, box, caps)
+        except DomainError as exc:
+            assert "infeasible" in str(exc)
+            assert not admissible
+            raised += 1
+            continue
+        for t in admissible:
+            assert all(v in dom[c] for c, v in zip(cells, t))
+        shrunk += any(len(dom[c]) < 2 * caps[c] + 1 for c in cells)
+        for e, row in touch.items():
+            lo, hi = box[e]
+            for n, s in row:
+                rest = [sorted((s2 * dom[c][0], s2 * dom[c][-1])) for c, s2 in row if c != n]
+                least = sum(a for a, _ in rest)
+                most = sum(b for _, b in rest)
+                for v in (dom[n][0], dom[n][-1]):
+                    assert s * v + least <= hi and s * v + most >= lo, (touch, box, caps, dom)
+    assert raised >= 20 and shrunk >= 100
+
+
+def test_cyclic_rows_propagate_to_infeasible():
+    # t0 - t1 = 0 and t0 - t1 = 1: each revision moves a bound by one, so the
+    # pass needs about a hundred sweeps to empty the cap box.
+    touch = {"a": [("t0", 1), ("t1", -1)], "b": [("t0", 1), ("t1", -1)]}
+    with pytest.raises(DomainError, match="infeasible"):
+        _propagate(touch, {"a": (0, 0), "b": (1, 1)}, {"t0": 50, "t1": 50})
+
+
+def test_reference_outside_the_caps_is_found_infeasible():
+    # Rows 2 t0 - t1 and 3 t0 - 2 t1 are pinned at the reference (51, 51), the
+    # only point that meets both; cap 50 excludes it and the bounds close in
+    # over several revisions of each row.
+    cx = CellComplex()
+    cx.add_cell(0, "a", 1)
+    cx.add_cell(0, "b", 1)
+    for name, sa, sb in (("t0", 2, 3), ("t1", -1, -2)):
+        cx.add_cell(1, name, 1)
+        cx.add_face(1, name, "a", sa)
+        cx.add_face(1, name, "b", sb)
+    p = _problem(cx, reference=Chain(1, {"t0": 51, "t1": 51}))
+    with pytest.raises(DomainError, match="infeasible"):
+        solve(p, caps=50)
+    with pytest.raises(DomainError, match="infeasible"):
+        exhaustive_oracle(p, caps=50)
+    s = solve(p, caps=51)
+    assert chain_dicts(s.minimizers) == [{"t0": 51, "t1": 51}]
+    assert s.bounds_active
+
+
+def _solution_fields(s):
+    return (s.value, chain_dicts(s.minimizers), s.caps, s.bounds_active, s.truncated)
+
+
+def test_solver_matches_oracle_on_general_randoms():
+    """1- and 2-dimensional problems with incidences +-1 and +-2, zero-measure
+    cells, all three costs, uniform caps 0-2, cap maps with zeros and small
+    derived caps: every field but the node count agrees with the oracle, and
+    so does the type of any error."""
+    rng = random.Random(56)
+    kinds = [IDENT, SQRT, QUART]
+    outcomes = {"solved": 0, "raised": 0, "truncated": 0, "active": 0, "derived": 0}
+    for i in range(400):
+        dim = 1 + i % 2
+        cx = random_complex(rng, max_cells=10 if dim == 2 else 12,
+                            zero_share=0.25 if i % 4 >= 2 else 0.0, signs=(-2, -1, 1, 2))
+        t0 = random_chain(rng, cx, dim, lo=-1, hi=1)
+        b = random_chain(rng, cx, dim - 1, lo=-2, hi=2)
+        phi = random_cochain(rng, cx, dim - 1)
+        p = _problem(cx, dim=dim, budget=b, reference=t0, phi=phi, h=kinds[i % 3])
+        form = rng.randrange(3)
+        if form == 0:
+            caps = rng.randint(0, 2)
+        else:
+            caps = {name: rng.choice((0, 0, 1, 2)) for name in cx.cell_names(dim)}
+            if form == 2:
+                try:
+                    if max(derive_bounds(p).values()) <= 3:
+                        caps = None
+                        outcomes["derived"] += 1
+                except (DomainError, SearchSpaceError):
+                    pass  # zero-measure cells admit no derived cap
+        limit = rng.choice((None, 64, 1, 2))
+        try:
+            o = exhaustive_oracle(p, caps=caps, max_minimizers=limit)
+        except (DomainError, SearchSpaceError) as exc:
+            with pytest.raises(type(exc)):
+                solve(p, caps=caps, max_minimizers=limit)
+            outcomes["raised"] += 1
+            continue
+        s = solve(p, caps=caps, max_minimizers=limit)
+        assert _solution_fields(s) == _solution_fields(o), i
+        assert certify(p, s).ok
+        outcomes["solved"] += 1
+        outcomes["truncated"] += s.truncated
+        outcomes["active"] += s.bounds_active
+    assert min(outcomes.values()) >= 10, sorted(outcomes.items())
