@@ -21,7 +21,10 @@ all its pending samples as one batch, then their levels as another (for
 2-chains a (k, n, 2) normal block, then a (k, 2) uniform block). The
 geometry runs in chunks of bounded size, and chunking never changes a draw,
 so results depend only on the seed and sample count, never on any worker
-decomposition or chunk size.
+decomposition or chunk size. The 1-chain kernel works simplex-major, on
+(s, k) arrays, so its reductions over the s simplices run across contiguous
+k-long rows; its einsum projection and its weighted sum over a contiguous
+(k, s) transpose keep every sample bit-identical to the sample-major layout.
 """
 
 from __future__ import annotations
@@ -459,21 +462,26 @@ def _line_values(dirs: np.ndarray, u: np.ndarray, verts: np.ndarray,
     """1-chains: raw values and degenerate flags for unit directions `dirs` (k, n).
 
     A level within a relative 1e-9 of a projected endpoint, or an empty box
-    (a zero direction gives one), is degenerate.
+    (a zero direction gives one), is degenerate. Work arrays are (s, k) and
+    reuse two buffers; the einsum projection (BLAS `@` rounds differently) and
+    the sum over a contiguous (k, s) transpose (numpy's pairwise order) keep
+    every sample bit-identical to the sample-major layout.
     """
-    a = np.einsum("kn,sn->ks", dirs, verts[:, 0, :])
-    b = np.einsum("kn,sn->ks", dirs, verts[:, 1, :])
+    a = np.einsum("sn,kn->sk", verts[:, 0, :], dirs)
+    b = np.einsum("sn,kn->sk", verts[:, 1, :], dirs)
     lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    blo = lo.min(axis=1)
-    bhi = hi.max(axis=1)
-    vol = bhi - blo
+    hi = np.maximum(a, b, out=a)
+    blo = lo.min(axis=0)
+    vol = hi.max(axis=0) - blo
     y = blo + u * vol
-    margin = 1e-9 * np.maximum(1.0, np.abs(y))[:, None]
-    inside = (y[:, None] > lo + margin) & (y[:, None] < hi - margin)
-    near = ((np.abs(y[:, None] - lo) <= margin) | (np.abs(y[:, None] - hi) <= margin))
-    degenerate = (vol <= 1e-12) | near.any(axis=1)
-    return vol * (inside * hw[None, :]).sum(axis=1), degenerate
+    margin = 1e-9 * np.maximum(1.0, np.abs(y))
+    inside = y > np.add(lo, margin, out=b)
+    inside &= y < np.subtract(hi, margin, out=b)
+    near = np.abs(np.subtract(y, lo, out=lo), out=lo) <= margin
+    near |= np.abs(np.subtract(y, hi, out=hi), out=hi) <= margin
+    degenerate = (vol <= 1e-12) | near.any(axis=0)
+    weighted = np.multiply(inside.T, hw, out=b.reshape(b.shape[::-1]))
+    return vol * weighted.sum(axis=1), degenerate
 
 
 def _plane_values(frames: np.ndarray, u: np.ndarray, verts: np.ndarray,
@@ -523,10 +531,13 @@ def _raw_samples(p: PolyhedralChain, h: Integrand, samples: int, seed: int,
         k = pending.size
         if m == 1:
             g = rng.standard_normal((k, n))
-            norms = np.linalg.norm(g, axis=1)
+            # Below 8 terms numpy's pairwise sum is sequential, so a running
+            # sum over the columns is np.linalg.norm bit for bit.
+            norms = (np.sqrt(sum(g[:, j] * g[:, j] for j in range(n))) if n < 8
+                     else np.linalg.norm(g, axis=1))
             u = rng.random(k)
-            good_dir = norms > 1e-9
-            frames = np.where(good_dir[:, None], g / np.maximum(norms, 1e-300)[:, None], 0.0)
+            frames = g / np.maximum(norms, 1e-300)[:, None]
+            frames[norms <= 1e-9] = 0.0
             values = _line_values
         else:
             g = rng.standard_normal((k, n, m))

@@ -89,12 +89,15 @@ def derive_bounds(p: Problem) -> dict[str, int]:
     """
     budget = h_mass(p.cx, p.reference, p.h) + mass(p.cx, p.budget_chain) * comass(p.cx, p.phi)
     caps = {}
+    cap_of_measure = {}  # upper_inverse is pure; cells of equal measure share a cap
     for cell in p.cx.cells(p.dim):
         if cell.measure == 0:
             raise SearchSpaceError(
                 f"zero-measure {p.dim}-cell {cell.name!r} admits no derived cap; "
                 "supply explicit caps")
-        caps[cell.name] = p.h.upper_inverse(budget / cell.measure)
+        if cell.measure not in cap_of_measure:
+            cap_of_measure[cell.measure] = p.h.upper_inverse(budget / cell.measure)
+        caps[cell.name] = cap_of_measure[cell.measure]
     return caps
 
 

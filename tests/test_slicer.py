@@ -393,6 +393,112 @@ def test_mc_one_chains_bit_identical(chain, h, samples, seed, expected):
     assert mc_h_mass(chain, h, samples, seed) == expected
 
 
+_ZIGZAG = [(i, (i * 7) % 5 - 2, F((i * 3) % 7 - 3, 2), F(-i, 3)) for i in range(13)]
+POLYLINE_12_R4 = PolyhedralChain(1, 4, [
+    ((a, b), w) for a, b, w in zip(_ZIGZAG, _ZIGZAG[1:], [1, -2, 3, -1, 2, -3, 1, 3, -2, -1, 2, -3])])
+OVERLAPS_R1 = PolyhedralChain(1, 1, [(((0,), (2,)), 3), (((F(1, 2),), (F(7, 2),)), -1),
+                                     (((5,), (4,)), 2)])
+
+
+# Recorded with the sample-major kernel. Twelve simplices reach numpy's
+# pairwise summation (8 terms and up), which a reordered weighted sum would
+# change; R^1 has only the directions +1 and -1.
+@pytest.mark.parametrize("chain, h, samples, seed, expected", [
+    (POLYLINE_12_R4, SQRT, 20000, 9, McEstimate(52.515129595314015, 0.2576485073282383,
+                                                0.418198389193314, 20000, 0)),
+    (OVERLAPS_R1, TABLE, 20000, 3, McEstimate(8.0355, 0.03086941157567717, 1.0, 20000, 0)),
+])
+def test_mc_one_chains_bit_identical_long_and_one_dimensional(chain, h, samples, seed,
+                                                              expected):
+    assert mc_h_mass(chain, h, samples, seed) == expected
+
+
+def _line_values_reference(dirs, u, verts, hw):
+    """The 1-chain rules, one sample and one simplex at a time."""
+    values, flags = [], []
+    for d, t in zip(dirs.tolist(), u.tolist()):
+        ends = [sorted(sum(c * x for c, x in zip(d, v)) for v in seg) for seg in verts.tolist()]
+        blo = min(lo for lo, _ in ends)
+        vol = max(hi for _, hi in ends) - blo
+        y = blo + t * vol
+        margin = 1e-9 * max(1.0, abs(y))
+        flags.append(vol <= 1e-12 or any(abs(y - e) <= margin for seg in ends for e in seg))
+        values.append(vol * sum(w for (lo, hi), w in zip(ends, hw.tolist())
+                                if lo + margin < y < hi - margin))
+    return np.array(values), np.array(flags)
+
+
+def _dyadic_line_cases():
+    """Inputs whose projections and sums are exact in any order.
+
+    Coordinates are quarters, direction entries halves, levels eighths and
+    weights dyadic, so the kernel and the reference must agree to the bit.
+    Coarse grids put many levels exactly on projected endpoints.
+    """
+    rng = np.random.default_rng(2024)
+    cases = []
+    for n, s, k in [(1, 3, 40), (2, 5, 60), (3, 9, 60), (4, 14, 80), (2, 20, 40)]:
+        verts = rng.integers(-8, 9, size=(s, 2, n)) / 4
+        dirs = rng.integers(-2, 3, size=(k, n)) / 2
+        dirs[::7] = 0.0  # zero directions: empty boxes
+        u = rng.integers(0, 9, size=k) / 8
+        hw = rng.choice([0.5, 1.0, 1.5, 2.0, 3.0], size=s)
+        cases.append((dirs, u, verts, hw))
+    # y = 1 is the high end of [0, 1] and no simplex's low end
+    segments = np.array([[[0.0], [1.0]], [[0.0], [2.0]]])
+    cases.append((np.ones((1, 1)), np.array([0.5]), segments, np.array([1.0, 2.0])))
+    # y = 2^-30 is within the margin's floor of 1e-9, but not of 1e-9 * |y|
+    cases.append((np.ones((1, 1)), np.array([2.0 ** -30]), segments[:1], np.array([1.0])))
+    return cases
+
+
+def _sample_major_line_values(dirs, u, verts, hw):
+    """The (k, s) layout the simplex-major kernel replaced: its bit-level oracle."""
+    a = np.einsum("kn,sn->ks", dirs, verts[:, 0, :])
+    b = np.einsum("kn,sn->ks", dirs, verts[:, 1, :])
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    blo = lo.min(axis=1)
+    vol = hi.max(axis=1) - blo
+    y = blo + u * vol
+    margin = 1e-9 * np.maximum(1.0, np.abs(y))[:, None]
+    inside = (y[:, None] > lo + margin) & (y[:, None] < hi - margin)
+    near = (np.abs(y[:, None] - lo) <= margin) | (np.abs(y[:, None] - hi) <= margin)
+    return vol * (inside * hw[None, :]).sum(axis=1), (vol <= 1e-12) | near.any(axis=1)
+
+
+# A whole estimate averages away a last-bit change in single samples, so the
+# pins above can miss a reordered sum or a BLAS projection; this cannot.
+@pytest.mark.parametrize("seed", range(6))
+def test_line_values_bit_identical_to_sample_major_layout(seed):
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3, 4):
+        s = int(rng.integers(9, 21)) if seed % 2 else int(rng.integers(1, 9))
+        k = 300
+        verts = rng.uniform(-1, 1, size=(s, 2, n))  # overlapping: many crossings per level
+        dirs = rng.standard_normal((k, n))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        dirs[::50] = 0.0
+        u = rng.random(k)
+        hw = np.sqrt(rng.integers(1, 4, size=s).astype(float))
+        values, degenerate = slicer._line_values(dirs, u, verts, hw)
+        want_values, want_degenerate = _sample_major_line_values(dirs, u, verts, hw)
+        assert values.tobytes() == want_values.tobytes()
+        assert degenerate.tolist() == want_degenerate.tolist()
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_line_values_match_per_sample_reference(case):
+    dirs, u, verts, hw = _dyadic_line_cases()[case]
+    values, degenerate = slicer._line_values(dirs, u, verts, hw)
+    want_values, want_degenerate = _line_values_reference(dirs, u, verts, hw)
+    assert values.tolist() == want_values.tolist()
+    assert degenerate.tolist() == want_degenerate.tolist()
+    if case < 5:
+        assert degenerate.any() and not degenerate.all()
+    else:
+        assert degenerate.all()
+
+
 # ------------------------------------------------- sampling: 2-chains
 
 def _unit_square(n):

@@ -90,6 +90,28 @@ def test_derive_bounds_includes_pairing_slack():
     assert derive_bounds(p) == {"e": 6}
 
 
+@pytest.mark.parametrize("petal_areas, caps_by_measure", [
+    (None, {1: 900}),  # the canonical sunflower: all nine 2-cells have area 1
+    ([1, 2, 1, 2, 3, 1, 1, 1], {1: 900, 2: 225, 3: 100}),
+])
+def test_derive_bounds_inverts_once_per_distinct_measure(monkeypatch, petal_areas,
+                                                          caps_by_measure):
+    calls = []
+    inverse = Integrand.upper_inverse
+
+    def counted(self, budget):
+        calls.append(budget)
+        return inverse(self, budget)
+
+    monkeypatch.setattr(Integrand, "upper_inverse", counted)
+    p = as_problem(build_sunflower(8, (2, 2, 2, 2, 1, 1, 0, 0), -10,
+                                   petal_areas=petal_areas), SQRT)
+    caps = derive_bounds(p)
+    assert len(calls) == len(caps_by_measure)
+    # budget 30: sqrt(cap) * measure <= 30 for every cell
+    assert caps == {c.name: caps_by_measure[c.measure] for c in p.cx.cells(2)}
+
+
 def test_derive_bounds_rejects_zero_measure_top_cell():
     cx = CellComplex()
     cx.add_cell(0, "v", 1)
