@@ -531,8 +531,8 @@ def _raw_samples(p: PolyhedralChain, h: Integrand, samples: int, seed: int,
         k = pending.size
         if m == 1:
             g = rng.standard_normal((k, n))
-            # Below 8 terms numpy's pairwise sum is sequential, so a running
-            # sum over the columns is np.linalg.norm bit for bit.
+            # numpy's pairwise sum is sequential below 8 terms only: there a running
+            # column sum is np.linalg.norm bit for bit, without its per-row reduce.
             norms = (np.sqrt(sum(g[:, j] * g[:, j] for j in range(n))) if n < 8
                      else np.linalg.norm(g, axis=1))
             u = rng.random(k)

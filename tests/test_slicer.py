@@ -499,6 +499,25 @@ def test_line_values_match_per_sample_reference(case):
         assert degenerate.all()
 
 
+# The sampler's direction norms take a running sum below 8 coordinates and
+# np.linalg.norm from 8 on; every sample must equal np.linalg.norm's to the bit.
+@pytest.mark.parametrize("n", [1, 3, 7, 8, 9, 12])
+def test_raw_samples_bit_identical_to_linalg_norm_directions(n):
+    pts = [tuple(F((i * j * 5 + i) % 11 - 5, 1 + (i + j) % 3) for j in range(n))
+           for i in range(10)]
+    chain = PolyhedralChain(1, n, [((a, b), w) for a, b, w in zip(pts, pts[1:], [1, -2, 3] * 3)])
+    k, seed = 4000, 5
+    raw, resampled = slicer._raw_samples(chain, SQRT, k, seed, 0)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, 0, 0))))
+    g = rng.standard_normal((k, n))
+    dirs = g / np.linalg.norm(g, axis=1)[:, None]
+    hw = np.array([float(SQRT(abs(w))) for _, w in chain.simplices])
+    want, degenerate = _sample_major_line_values(dirs, rng.random(k),
+                                                 slicer._vertex_array(chain), hw)
+    assert resampled == 0 and not degenerate.any()
+    assert raw.tobytes() == want.tobytes()
+
+
 # ------------------------------------------------- sampling: 2-chains
 
 def _unit_square(n):
