@@ -9,22 +9,18 @@ facet or a tangent plane is degenerate and raised, never silently guessed.
 
 The cone over a chain from an apex prepends the apex to every simplex, which
 makes boundary(cone(Z)) + cone(boundary(Z)) = Z hold on the nose (degenerate
-simplices are dropped; they carry no volume). Cone mass is bounded by the
+joins are kept; they carry no volume). Cone mass is bounded by the
 apex's largest distance to the chain times the chain's mass.
 
 The Monte-Carlo estimator averages box-volume-weighted slice masses over
-random projections and levels, then divides by the same pipeline's average on
-a reference unit cube, which empirically cancels the direction-integral
-normalization constant. Randomness is drawn from counter-based Philox streams
-keyed by (seed, stream, round): each resampling round draws the directions of
-all its pending samples as one batch, then their levels as another (for
-2-chains a (k, n, 2) normal block, then a (k, 2) uniform block). The
-geometry runs in chunks of bounded size, and chunking never changes a draw,
-so results depend only on the seed and sample count, never on any worker
-decomposition or chunk size. The 1-chain kernel works simplex-major, on
-(s, k) arrays, so its reductions over the s simplices run across contiguous
-k-long rows; its einsum projection and its weighted sum over a contiguous
-(k, s) transpose keep every sample bit-identical to the sample-major layout.
+Haar-random m-planes and levels uniform over the projected box, and divides
+by beta_1(n, m) = Gamma((m+1)/2) Gamma((n-m+1)/2) / (Gamma((n+1)/2) Gamma(1/2)),
+the mean of that average for a chain of mass 1 (Federer, Geometric Measure Theory,
+2.10.15 and 3.2.26). The estimate is unbiased, and its standard error is its
+whole error. Samples come from counter-based Philox streams and run in
+bounded chunks, so results depend only on the seed and sample count
+(`_raw_samples`); the 1-chain kernel's simplex-major layout keeps every
+sample bit-identical to the sample-major one (`_line_values`).
 """
 
 from __future__ import annotations
@@ -86,7 +82,11 @@ def _affinely_degenerate(verts: tuple[Point, ...]) -> bool:
 
 
 class PolyhedralChain:
-    """Integer combination of oriented m-simplices embedded in R^n."""
+    """Integer combination of oriented m-simplices embedded in R^n.
+
+    Each simplex is stored once: repeats merge into their net weight, in the
+    vertex order first listed, and simplices whose weights cancel are dropped.
+    """
 
     __slots__ = ("dim", "ambient", "simplices")
 
@@ -94,7 +94,7 @@ class PolyhedralChain:
                  simplices: Sequence[tuple[Sequence[Sequence], int]] = ()):
         if dim < 0 or ambient < 1 or dim > ambient:
             raise DomainError(f"bad dimensions: simplices of dim {dim} in R^{ambient}")
-        clean = []
+        merged: dict[tuple[Point, ...], list] = {}
         for verts, weight in simplices:
             if not isinstance(weight, int) or isinstance(weight, bool):
                 raise DomainError("simplex weights must be integers")
@@ -105,10 +105,14 @@ class PolyhedralChain:
                 raise DomainError(f"a {dim}-simplex needs {dim + 1} vertices, got {len(vt)}")
             if any(len(v) != ambient for v in vt):
                 raise DomainError("vertex coordinate count does not match the ambient dimension")
-            clean.append((vt, weight))
+            key, sign = _canonical(vt)
+            if key in merged:  # add in the orientation first listed
+                merged[key][1] += sign * merged[key][2] * weight
+            else:
+                merged[key] = [vt, weight, sign]
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "simplices", tuple(clean))
+        object.__setattr__(self, "simplices", tuple((v, w) for v, w, _ in merged.values() if w))
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyhedralChain is immutable")
@@ -118,11 +122,11 @@ class PolyhedralChain:
         return not self.simplices
 
     def canonical(self) -> dict[tuple[Point, ...], int]:
-        acc: dict[tuple[Point, ...], int] = {}
+        out: dict[tuple[Point, ...], int] = {}
         for verts, w in self.simplices:
             cv, sign = _canonical(verts)
-            acc[cv] = acc.get(cv, 0) + sign * w
-        return {k: v for k, v in acc.items() if v != 0}
+            out[cv] = sign * w
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyhedralChain):
@@ -182,8 +186,6 @@ def simplex_volume(verts: Sequence[Point]) -> float:
 
 
 def poly_mass(p: PolyhedralChain) -> float:
-    # canonical() merges repeated simplices first, so multiplicity is the
-    # net weight of a simplex and not an accident of the presentation
     return sum(abs(w) * simplex_volume(v) for v, w in p.canonical().items())
 
 
@@ -192,17 +194,12 @@ def poly_h_mass(p: PolyhedralChain, h: Integrand) -> float:
 
 
 def poly_boundary(p: PolyhedralChain) -> PolyhedralChain:
-    """Alternating-sign facet sum, merged over shared facets."""
+    """Alternating-sign facet sum; the constructor merges shared facets."""
     if p.dim == 0:
         return PolyhedralChain(0, p.ambient)
-    acc: dict[tuple[Point, ...], int] = {}
-    for verts, w in p.simplices:
-        for i in range(len(verts)):
-            facet = verts[:i] + verts[i + 1:]
-            cv, sign = _canonical(facet)
-            acc[cv] = acc.get(cv, 0) + ((-1) ** i) * sign * w
-    simplices = [(k, v) for k, v in sorted(acc.items()) if v != 0]
-    return PolyhedralChain(p.dim - 1, p.ambient, simplices)
+    return PolyhedralChain(p.dim - 1, p.ambient, [
+        (verts[:i] + verts[i + 1:], (-1) ** i * w)
+        for verts, w in p.simplices for i in range(len(verts))])
 
 
 def cone(p: PolyhedralChain, apex: Sequence) -> PolyhedralChain:
@@ -431,6 +428,9 @@ def embed_chain(cx: CellComplex, chain: Chain, coords: dict[str, Sequence]) -> P
 
 @dataclass(frozen=True)
 class McEstimate:
+    """`estimate` with its standard error `stderr`. `calibration` is the divisor
+    beta_1(n, m), or 1.0 for the zero chain, which is not sampled."""
+
     estimate: float
     stderr: float
     calibration: float
@@ -438,18 +438,17 @@ class McEstimate:
     resampled: int
 
 
-def _unit_cube_chain(m: int, n: int) -> PolyhedralChain:
-    """Reference chain of mass exactly 1: a triangulated unit m-cube in R^n."""
-    if m == 1:
-        zero = tuple(Fraction(0) for _ in range(n))
-        one = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))
-        return PolyhedralChain(1, n, [((zero, one), 1)])
-    if m == 2:
-        def pt(x, y):
-            return tuple([Fraction(x), Fraction(y)] + [Fraction(0)] * (n - 2))
-        a, b, c, d = pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)
-        return PolyhedralChain(2, n, [((a, b, c), 1), ((a, c, d), 1)])
-    raise DomainError("reference cubes implemented for dimensions 1 and 2")
+def _crofton_beta(n: int, m: int) -> float:
+    """beta_1(n, m) = Gamma((m+1)/2) Gamma((n-m+1)/2) / (Gamma((n+1)/2) Gamma(1/2)).
+
+    The mean factor by which a Haar-random orthogonal projection of R^n onto
+    R^m scales m-volume. Gamma(k/2) is rational, times sqrt(pi) for odd k;
+    those factors cancel except for n even and m odd, which leaves 1/pi.
+    """
+    def gamma_half(k):  # Gamma(k/2) without its sqrt(pi)
+        return math.prod((Fraction(j, 2) for j in range(k - 2, 0, -2)), start=Fraction(1))
+    ratio = float(gamma_half(m + 1) * gamma_half(n - m + 1) / gamma_half(n + 1))
+    return ratio / math.pi if n % 2 == 0 and m % 2 == 1 else ratio
 
 
 def _vertex_array(p: PolyhedralChain) -> np.ndarray:
@@ -560,23 +559,23 @@ def _raw_samples(p: PolyhedralChain, h: Integrand, samples: int, seed: int,
 def mc_h_mass(p: PolyhedralChain, h: Integrand, samples: int, seed: int) -> McEstimate:
     """Monte-Carlo estimate of the weighted mass via random slices.
 
-    The raw average estimates a direction-integral multiple of the weighted
-    mass; dividing by the same pipeline's average over a unit reference cube
-    (identity cost, mass exactly 1) cancels the multiple. Reproducible from
-    (seed, samples) alone.
+    Over Haar-random m-planes and levels uniform over the projected box, the
+    raw value (box volume times slice weighted mass) has mean beta_1(n, m)
+    times the weighted mass. The raw sample mean and its standard error, both
+    divided by beta_1, are an unbiased estimate and its whole standard error.
+    Reproducible from (seed, samples) alone.
     """
+    if type(samples) is not int or type(seed) is not int:  # bool is not accepted
+        raise DomainError(f"samples and seed must be integers, got {samples!r} and {seed!r}")
     if samples < 2:
         raise DomainError("need at least 2 samples")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     if p.is_zero:
         return McEstimate(0.0, 0.0, 1.0, samples, 0)
     if p.dim not in (1, 2):
         raise DomainError(f"Monte-Carlo mass needs a 1- or 2-chain, got a {p.dim}-chain")
     raw, resampled = _raw_samples(p, h, samples, seed, stream=0)
-    ref = _unit_cube_chain(p.dim, p.ambient)
-    cal_raw, _ = _raw_samples(ref, Integrand.identity(), samples, seed, stream=1)
-    calibration = float(cal_raw.mean())
-    if calibration <= 0:
-        raise DomainError("calibration produced a nonpositive constant")
-    mean = float(raw.mean())
+    beta = _crofton_beta(p.ambient, p.dim)
     sem = float(raw.std(ddof=1)) / math.sqrt(samples)
-    return McEstimate(mean / calibration, sem / calibration, calibration, samples, resampled)
+    return McEstimate(float(raw.mean()) / beta, sem / beta, beta, samples, resampled)

@@ -333,6 +333,13 @@ def test_slice_check_identity_integrand(tmp_path, capsys):
     assert doc["expected"] == pytest.approx(2.0)
 
 
+def test_slice_check_negative_seed_is_domain_error(capsys):
+    code, out, err = run(capsys, ["slice-check", "--samples", "100", "--seed", "-3"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # ------------------------------------------------------------------- usage
 
 def test_unknown_command_exits_two(capsys):
