@@ -9,6 +9,7 @@ tolerance failure), 2 parse/usage/I-O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -265,11 +266,15 @@ def cmd_sunflower(args) -> int:
 # ------------------------------------------------------------- slice-check
 
 def cmd_slice_check(args) -> int:
+    if not 0 <= args.tolerance < math.inf:
+        raise DomainError(f"tolerance must be finite and nonnegative, got {args.tolerance}")
     h = _load(load_integrand, args.integrand) if args.integrand \
         else Integrand.power(Fraction(1, 2))
+    expected = float(h(2))
+    if expected <= 0:  # the relative error divides by it
+        raise DomainError(f"slice-check needs H(2) > 0, got {expected}")
     segment = PolyhedralChain(1, 2, [(((0, 0), (1, 0)), 2)])
     est = mc_h_mass(segment, h, args.samples, args.seed)
-    expected = float(h(2))
     rel = abs(est.estimate - expected) / expected
     ok = rel <= args.tolerance
     payload = {

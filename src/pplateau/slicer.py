@@ -19,8 +19,10 @@ the mean of that average for a chain of mass 1 (Federer, Geometric Measure Theor
 2.10.15 and 3.2.26). The estimate is unbiased, and its standard error is its
 whole error. Samples come from counter-based Philox streams and run in
 bounded chunks, so results depend only on the seed and sample count
-(`_raw_samples`); the 1-chain kernel's simplex-major layout keeps every
-sample bit-identical to the sample-major one (`_line_values`).
+(`_raw_samples`). The 1-chain kernel projects and margin-tests each distinct
+vertex once and finds crossings per simplex from those tests; every sample is
+bit-identical to projecting each simplex's endpoints per sample
+(`_line_values`).
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from .numeric import to_fraction
 
 Point = tuple[Fraction, ...]
 EPS = 1e-12
-# Largest (sample, simplex) pair count whose geometry the sampler holds at once.
+# Largest (sample, row) pair count whose geometry the sampler holds at once; a
+# row is a simplex, or for 1-chains a vertex or a simplex, whichever are more.
 _CHUNK_PAIRS = 1 << 16
 
 
@@ -256,6 +259,18 @@ def _check_projection(proj: np.ndarray, n: int, m: int) -> np.ndarray:
     return proj
 
 
+def _check_level(level, m: int) -> np.ndarray:
+    try:
+        y = np.asarray(level, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"level must be {m} numbers, got {level!r}") from None
+    if y.size != m:
+        raise DomainError(f"level must be {m} numbers, got {y.size}")
+    if not np.isfinite(y).all():
+        raise DomainError(f"level must be finite, got {level!r}")
+    return y.reshape(m)
+
+
 def slice_chain(p: PolyhedralChain, proj, level) -> ZeroCurrent:
     """Transversal slice of an m-chain by the preimage of `level` under `proj`.
 
@@ -268,7 +283,7 @@ def slice_chain(p: PolyhedralChain, proj, level) -> ZeroCurrent:
     if m == 0:
         raise DomainError("cannot slice a 0-chain")
     pr = _check_projection(proj, n, m)
-    y = np.asarray(level, dtype=float).reshape(m)
+    y = _check_level(level, m)
     if p.is_zero:
         return ZeroCurrent(n, ())
     verts = _vertex_array(p)
@@ -456,31 +471,74 @@ def _vertex_array(p: PolyhedralChain) -> np.ndarray:
     return np.array([[[float(c) for c in v] for v in s] for s, _ in p.simplices], dtype=float)
 
 
-def _line_values(dirs: np.ndarray, u: np.ndarray, verts: np.ndarray,
+def _vertex_table(p: PolyhedralChain) -> tuple[np.ndarray, np.ndarray]:
+    """Float coordinates of `p.vertices()` (V, ambient) and, for each simplex,
+    the indices of its vertices in that table (simplices, dim + 1)."""
+    verts = p.vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    points = np.array([[float(c) for c in v] for v in verts], dtype=float)
+    ends = np.array([[index[v] for v in s] for s, _ in p.simplices], dtype=np.intp)
+    return points, ends
+
+
+def _line_values(dirs: np.ndarray, u: np.ndarray, points: np.ndarray, ends: np.ndarray,
                  hw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """1-chains: raw values and degenerate flags for unit directions `dirs` (k, n).
 
-    A level within a relative 1e-9 of a projected endpoint, or an empty box
-    (a zero direction gives one), is degenerate. Work arrays are (s, k) and
-    reuse two buffers; the einsum projection (BLAS `@` rounds differently) and
-    the sum over a contiguous (k, s) transpose (numpy's pairwise order) keep
-    every sample bit-identical to the sample-major layout.
+    `points` (V, n) are the distinct vertices and `ends` (s, 2) each simplex's
+    vertex indices. A level within a relative 1e-9 of a projected vertex, or an
+    empty box (a zero direction gives one), is degenerate. Each vertex is
+    projected and tested against the level once, in (V, k) arrays: the level is
+    clear above it (y > p + margin) or clear below it (y < p - margin). A
+    simplex is crossed when the level is clear above one end and clear below
+    the other, which is lo + margin < y < hi - margin to the bit. Every sample
+    is bit-identical to the sample-major layout.
     """
-    a = np.einsum("sn,kn->sk", verts[:, 0, :], dirs)
-    b = np.einsum("sn,kn->sk", verts[:, 1, :], dirs)
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b, out=a)
-    blo = lo.min(axis=0)
-    vol = hi.max(axis=0) - blo
+    # einsum, not BLAS `@` or a running sum over coordinates: both round some
+    # entries differently (numpy 2.4's einsum sums n = 3 products as (p0 + p2) + p1).
+    proj = np.einsum("vn,kn->vk", points, dirs)
+    blo = proj.min(axis=0)
+    vol = proj.max(axis=0) - blo
     y = blo + u * vol
     margin = 1e-9 * np.maximum(1.0, np.abs(y))
-    inside = y > np.add(lo, margin, out=b)
-    inside &= y < np.subtract(hi, margin, out=b)
-    near = np.abs(np.subtract(y, lo, out=lo), out=lo) <= margin
-    near |= np.abs(np.subtract(y, hi, out=hi), out=hi) <= margin
+    buf = np.add(proj, margin)
+    above = y > buf
+    below = y < np.subtract(proj, margin, out=buf)
+    near = np.abs(np.subtract(y, proj, out=buf), out=buf) <= margin
     degenerate = (vol <= 1e-12) | near.any(axis=0)
-    weighted = np.multiply(inside.T, hw, out=b.reshape(b.shape[::-1]))
-    return vol * weighted.sum(axis=1), degenerate
+    a, b = ends.T
+    inside = (above[a] & below[b]) | (above[b] & below[a])
+    return vol * _row_sum(np.multiply(inside, hw[:, None])), degenerate
+
+
+def _row_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum (s, k) over its s rows as np.add.reduce sums each row of the transpose.
+
+    That is numpy's pairwise order, starting from 0: sequential below 8 terms,
+    eight interleaved accumulators up to 128, and halves cut at a multiple of 8
+    above. Starting from 0 makes a sum of -0.0 terms 0.0.
+    """
+    if len(rows) < 8:
+        total = np.zeros(rows.shape[1])
+        for row in rows:
+            total += row
+        return total
+    return _pairwise(rows) + 0.0
+
+
+def _pairwise(rows: np.ndarray) -> np.ndarray:
+    s = len(rows)
+    if s > 128:
+        half = s // 2 - s // 2 % 8
+        return _pairwise(rows[:half]) + _pairwise(rows[half:])
+    acc = rows[:8].copy()
+    tail = s - s % 8
+    for i in range(8, tail, 8):
+        acc += rows[i:i + 8]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for row in rows[tail:]:
+        total += row
+    return total
 
 
 def _plane_values(frames: np.ndarray, u: np.ndarray, verts: np.ndarray,
@@ -508,17 +566,24 @@ def _raw_samples(p: PolyhedralChain, h: Integrand, samples: int, seed: int,
 
     Each resampling round draws all of its directions, then all of its levels,
     from the Philox stream keyed by (seed, stream, round). The geometry then
-    runs in chunks of at most _CHUNK_PAIRS (sample, simplex) pairs, so the
-    chunking bounds memory without changing any output. 1-chains keep their
-    own endpoint-margin test (`_line_values`); 2-chains go through the
-    crossing kernel `_crossings` that `slice_chain` also uses
-    (`_plane_values`). A degenerate sample is drawn again in the next round.
+    runs in chunks of at most _CHUNK_PAIRS (sample, row) pairs, so the chunking
+    bounds memory without changing any output. 1-chains keep their own
+    vertex-margin test on the vertex table (`_line_values`), whose rows are
+    vertices and simplices; 2-chains go through the crossing kernel
+    `_crossings` that `slice_chain` also uses (`_plane_values`), whose rows
+    are simplices. A degenerate sample is drawn again in the next round.
     """
     m, n = p.dim, p.ambient
-    verts = _vertex_array(p)
     hw = np.array([float(h(abs(w))) for _, w in p.simplices], dtype=float)
-    chunk = max(1, _CHUNK_PAIRS // len(p.simplices))
-    out = np.full(samples, np.nan, dtype=float)
+    if m == 1:
+        points, ends = _vertex_table(p)
+        geometry = (points, ends, hw)
+        rows = max(len(points), len(ends))
+    else:
+        geometry = (_vertex_array(p), hw)
+        rows = len(hw)
+    chunk = max(1, _CHUNK_PAIRS // rows)
+    out = np.empty(samples, dtype=float)
     pending = np.arange(samples)
     resampled = 0
     round_no = 0
@@ -543,13 +608,16 @@ def _raw_samples(p: PolyhedralChain, h: Integrand, samples: int, seed: int,
             frames = np.linalg.qr(g)[0].swapaxes(1, 2)
             u = rng.random((k, m))
             values = _plane_values
-        vals = np.empty(k, dtype=float)
+        # Round 0 draws every sample, so it writes straight into `out`; its
+        # degenerate entries are pending and a later round overwrites them.
+        vals = out if round_no == 0 else np.empty(k, dtype=float)
         degenerate = np.empty(k, dtype=bool)
         for lo in range(0, k, chunk):
             part = slice(lo, lo + chunk)
-            vals[part], degenerate[part] = values(frames[part], u[part], verts, hw)
-        ok = ~degenerate
-        out[pending[ok]] = vals[ok]
+            vals[part], degenerate[part] = values(frames[part], u[part], *geometry)
+        if round_no:
+            ok = ~degenerate
+            out[pending[ok]] = vals[ok]
         pending = pending[degenerate]
         resampled += int(degenerate.sum())
         round_no += 1

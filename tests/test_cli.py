@@ -340,6 +340,26 @@ def test_slice_check_negative_seed_is_domain_error(capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("h2", ["0", "-1"])
+def test_slice_check_needs_positive_h2(tmp_path, capsys, h2):
+    path = tmp_path / "broken.integrand"
+    path.write_text(f"integrand table\n0 0\n2 {h2}\n")
+    code, out, err = run(capsys, ["slice-check", "--samples", "100", "--seed", "1",
+                                  "--integrand", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "H(2)" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tolerance", ["-0.1", "nan", "inf", "-inf"])
+def test_slice_check_rejects_bad_tolerance(capsys, tolerance):
+    code, out, err = run(capsys, ["slice-check", "--samples", "100", "--seed", "1",
+                                  f"--tolerance={tolerance}"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "tolerance" in err
+
+
 # ------------------------------------------------------------------- usage
 
 def test_unknown_command_exits_two(capsys):

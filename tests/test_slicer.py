@@ -282,6 +282,17 @@ def test_slice_projection_validation():
         slice_chain(PolyhedralChain(0, 2, [(((0, 0),), 1)]), [[1.0, 0.0]], [0.0])
 
 
+@pytest.mark.parametrize("level", [[0.5, 0.5], [], [[0.5, 0.5]], "half", ["a"], None,
+                                   [math.nan], [math.inf], [-math.inf]])
+def test_slice_level_validation(level):
+    with pytest.raises(DomainError):
+        slice_chain(SEG2, [[1.0, 0.0]], level)
+
+
+def test_slice_level_of_one_number_may_be_a_scalar():
+    assert slice_chain(SEG2, [[1.0, 0.0]], 0.5) == slice_chain(SEG2, [[1.0, 0.0]], [[0.5]])
+
+
 # ---------------------------------------------------------------- embedding
 
 SQUARE_COORDS = {"p": (0, 0), "q": (1, 0), "r": (1, 1), "s": (0, 1)}
@@ -522,6 +533,18 @@ def _sample_major_line_values(dirs, u, verts, hw):
     return vol * (inside * hw[None, :]).sum(axis=1), (vol <= 1e-12) | near.any(axis=1)
 
 
+def _split_vertices(verts):
+    """(s, 2, n) segment endpoints as the kernel's vertex table: the distinct
+    rows in first-seen order (V, n) and each segment's row indices (s, 2)."""
+    rows = verts.reshape(-1, verts.shape[-1])
+    first = {}  # bytes, not values: 0.0 and -0.0 stay distinct vertices
+    for i, row in enumerate(rows):
+        first.setdefault(row.tobytes(), i)
+    index = {key: j for j, key in enumerate(first)}
+    ends = [index[row.tobytes()] for row in rows]
+    return rows[list(first.values())], np.array(ends).reshape(-1, 2)
+
+
 # A whole estimate averages away a last-bit change in single samples, so the
 # pins above can miss a reordered sum or a BLAS projection; this cannot.
 @pytest.mark.parametrize("seed", range(6))
@@ -536,7 +559,7 @@ def test_line_values_bit_identical_to_sample_major_layout(seed):
         dirs[::50] = 0.0
         u = rng.random(k)
         hw = np.sqrt(rng.integers(1, 4, size=s).astype(float))
-        values, degenerate = slicer._line_values(dirs, u, verts, hw)
+        values, degenerate = slicer._line_values(dirs, u, *_split_vertices(verts), hw)
         want_values, want_degenerate = _sample_major_line_values(dirs, u, verts, hw)
         assert values.tobytes() == want_values.tobytes()
         assert degenerate.tolist() == want_degenerate.tolist()
@@ -545,7 +568,7 @@ def test_line_values_bit_identical_to_sample_major_layout(seed):
 @pytest.mark.parametrize("case", range(7))
 def test_line_values_match_per_sample_reference(case):
     dirs, u, verts, hw = _dyadic_line_cases()[case]
-    values, degenerate = slicer._line_values(dirs, u, verts, hw)
+    values, degenerate = slicer._line_values(dirs, u, *_split_vertices(verts), hw)
     want_values, want_degenerate = _line_values_reference(dirs, u, verts, hw)
     assert values.tolist() == want_values.tolist()
     assert degenerate.tolist() == want_degenerate.tolist()
@@ -553,6 +576,102 @@ def test_line_values_match_per_sample_reference(case):
         assert degenerate.any() and not degenerate.all()
     else:
         assert degenerate.all()
+
+
+def _polyline(points, weights):
+    return PolyhedralChain(1, len(points[0]), list(zip(zip(points, points[1:]), weights)))
+
+
+def _shared_vertex_chains():
+    """1-chains whose segments share vertices, which the random cases above never do."""
+    rng = random.Random(14)
+
+    def point(n, shift=0):
+        return tuple(F(rng.randint(-12, 12), rng.randint(1, 4)) + shift for _ in range(n))
+
+    weights = [1, -2, 3, -1, 2] * 60
+    chains = {f"polyline-{s}": _polyline([point(3) for _ in range(s + 1)], weights)
+              for s in (1, 5, 7, 8, 9, 40, 127, 128, 129, 300)}
+    ring = [point(2) for _ in range(9)]
+    chains["ring-9"] = _polyline(ring + ring[:1], weights)
+    hub = point(4)
+    chains["star-12"] = PolyhedralChain(1, 4, [((hub, point(4)), w) for w in weights[:12]])
+    # two polylines 100 apart: levels in the gap cross nothing
+    chains["gap-18"] = (_polyline([point(2) for _ in range(10)], weights)
+                        + _polyline([point(2, 100) for _ in range(10)], weights[1:]))
+    # distinct rationals that round to one float: equal rows in the vertex table
+    a, b = (F(1, 3), F(1, 2)), (F(1, 3) + F(1, 10 ** 30), F(1, 2))
+    chains["float-twins"] = PolyhedralChain(1, 2, [
+        (((0, 0), a), 1), ((a, (1, 1)), 2), (((0, 1), b), -1), ((b, (1, 0)), 3)])
+    return chains
+
+
+SHARED_VERTEX_CHAINS = _shared_vertex_chains()
+
+
+def test_shared_vertex_chains_share_vertices():
+    tables = {name: slicer._vertex_table(c) for name, c in SHARED_VERTEX_CHAINS.items()}
+    for name, (points, ends) in tables.items():
+        assert len(points) == len({v for s, _ in SHARED_VERTEX_CHAINS[name].simplices for v in s})
+        assert len(points) < 2 * len(ends) or name == "polyline-1"
+    assert np.bincount(tables["star-12"][1].ravel()).max() == 12
+    points = tables["float-twins"][0]
+    assert len(points) == 6 and len(np.unique(points, axis=0)) == 5
+
+
+# Zero directions and levels placed on projected vertices make degenerate
+# samples; zero and negative weights, which broken table costs give, make -0.0
+# terms, and numpy's sum starts from 0, so a sum of them is 0.0.
+@pytest.mark.parametrize("name", sorted(SHARED_VERTEX_CHAINS))
+def test_line_values_on_shared_vertices_bit_identical_to_sample_major_layout(name):
+    chain = SHARED_VERTEX_CHAINS[name]
+    points, ends = slicer._vertex_table(chain)
+    verts = slicer._vertex_array(chain)
+    rng = np.random.default_rng(len(ends))
+    k = 400
+    dirs = rng.standard_normal((k, chain.ambient))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    dirs[::40] = 0.0
+    u = rng.random(k)
+    proj = dirs @ points.T
+    on = np.arange(1, k, 5)  # u that puts the level on (or within rounding of) a vertex
+    vertex = proj[on, rng.integers(len(points), size=on.size)]
+    u[on] = (vertex - proj[on].min(axis=1)) / np.ptp(proj[on], axis=1)
+    weights = np.array([float(TABLE(abs(w))) for _, w in chain.simplices])
+    for hw in (weights, -weights, rng.choice([-1.5, -0.5, 0.0, 1.0, 2.0], size=len(ends))):
+        values, degenerate = slicer._line_values(dirs, u, points, ends, hw)
+        want_values, want_degenerate = _sample_major_line_values(dirs, u, verts, hw)
+        assert values.tobytes() == want_values.tobytes()
+        assert degenerate.tolist() == want_degenerate.tolist()
+        assert degenerate[on].all() and not degenerate.all()
+
+
+def test_row_sum_is_numpy_pairwise_sum_to_the_bit():
+    rng = np.random.default_rng(300)
+    for s in range(1, 301):
+        rows = rng.standard_normal((s, 5)) * 10.0 ** rng.integers(-12, 13, size=(s, 5))
+        rows[:, 0] = -0.0
+        want = np.add.reduce(np.ascontiguousarray(rows.T), axis=1)
+        assert slicer._row_sum(rows).tobytes() == want.tobytes(), s
+
+
+def test_degenerate_samples_are_redrawn_in_the_next_round(monkeypatch):
+    clean, _ = slicer._raw_samples(POLYLINE_R3, TABLE, 300, 5, 0)
+    kernel, calls = slicer._line_values, []
+
+    def flaky(dirs, u, *geometry):
+        values, degenerate = kernel(dirs, u, *geometry)
+        calls.append(values)
+        if len(calls) == 1:  # round 0, in one chunk: flag every third sample
+            degenerate = degenerate | (np.arange(len(u)) % 3 == 0)
+        return values, degenerate
+
+    monkeypatch.setattr(slicer, "_line_values", flaky)
+    raw, resampled = slicer._raw_samples(POLYLINE_R3, TABLE, 300, 5, 0)
+    redrawn = np.arange(300) % 3 == 0
+    assert resampled == 100 and len(calls) == 2
+    assert raw[~redrawn].tobytes() == clean[~redrawn].tobytes()
+    assert raw[redrawn].tobytes() == calls[1].tobytes()
 
 
 # The sampler's direction norms take a running sum below 8 coordinates and
