@@ -7,21 +7,17 @@ carries the optimal filling, the remainder R = T - boundary(S), and the dual
 cochain proving optimality by weak duality.
 
 The weighted flat distance replaces mass by the concave-cost mass on both
-terms and restricts S to integer coefficients within a cap. It is solved by
-branch-and-bound whose bounds come from interval reasoning on the achievable
-remainders (if a cell's remainder can reach 0 it contributes nothing,
-otherwise the endpoint nearest zero wins because the cost increases in
-|multiplicity|). The integral flat distance is its case H = identity.
-
-The search visits filling vectors in ascending lexicographic order over the
-complex's cell order, so the first optimum found is the lexicographically
-least one and results are deterministic.
+terms and restricts S to integer coefficients within a cap. It runs on the
+branch-and-bound engine of `pplateau.search` (see `h_flat_distance`), so
+results are deterministic. The integral flat distance is its case
+H = identity.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache, partial
 from fractions import Fraction
 from typing import Optional
 
@@ -29,7 +25,8 @@ from .complexes import CellComplex, Chain, Cochain, boundary, pair, unit_chain
 from .errors import DomainError, SearchSpaceError
 from .functionals import Integrand, h_mass, mass
 from .lp import OPTIMAL, solve_lp
-from .numeric import Number, strictly_less, values_equal
+from .numeric import Number, strictly_less
+from .search import search
 
 ENUMERATION_LIMIT = 100_000_000
 
@@ -168,14 +165,11 @@ def flat_distance_integral(cx: CellComplex, t1: Chain, t2: Chain, cap: int) -> F
 def h_flat_distance(cx: CellComplex, t1: Chain, t2: Chain, h: Integrand, cap: int) -> FlatCertificate:
     """Flat distance with both terms weighted by a concave multiplicity cost.
 
-    Depth-first search over integer fillings with |coefficient| <= cap, in
-    lexicographic order. The objective is concave in each coefficient, so
-    instead of an LP the bound tracks, per m-cell, the interval of remainders
-    reachable from the still-free filling coefficients: a cell whose interval
-    straddles zero can cost nothing, otherwise its cheapest value sits at the
-    endpoint nearest zero. Fixed cells contribute exactly. A subtree is pruned
-    unless its bound is strictly below the incumbent, so the first optimum
-    found is the lexicographically least.
+    The least h_mass(R) + h_mass(S), R = t1 - t2 - boundary(S), over integer
+    fillings S with |coefficient| <= cap, by `pplateau.search`: its variables
+    are the (m+1)-cells, and each m-cell is an unboxed row, the signed sum r of
+    its cofaces, costing measure * H(|t - r|). As H increases, a row's least
+    cost is 0 when t - r can be 0, else at the end nearest zero.
     """
     t = t1 - t2
     if not t.is_integer:
@@ -184,63 +178,29 @@ def h_flat_distance(cx: CellComplex, t1: Chain, t2: Chain, h: Integrand, cap: in
     if cap < 0:
         raise DomainError(f"cap must be >= 0, got {cap}")
     dim = t.dim
-    sigmas = cx.cell_names(dim)
     taus = cx.cell_names(dim + 1)
-    touching: dict[str, dict[str, int]] = {name: {} for name in sigmas}
+    cost = cache(lambda j: h(j) if j else 0)  # a cell at 0 costs nothing
+
+    def least(target: int, mu: Number, lo: int, hi: int) -> Number:
+        if target - hi <= 0 <= target - lo:
+            return 0
+        return mu * cost(min(abs(target - hi), abs(target - lo)))
+
+    rows: dict[str, list[tuple[str, int]]] = {name: [] for name in cx.cell_names(dim)}
     for tau in taus:
         for face, sign in cx.boundary_row(dim + 1, tau).items():
-            touching[face][tau] = sign
-    best_value: Optional[Number] = None
-    best_s: Optional[Chain] = None
-    h_of: dict[int, Number] = {}  # h(j) for the integer multiplicities met so far
-
-    def cost(j: int) -> Number:
-        if j not in h_of:
-            h_of[j] = h(j)
-        return h_of[j]
-
-    def lower_bound(assigned: dict[str, int]) -> Number:
-        lb: Number = Fraction(0)
-        for name, v in assigned.items():
-            if v:
-                lb = lb + cost(abs(v)) * cx.measure(dim + 1, name)
-        for name in sigmas:
-            base = t.get(name)
-            spread = 0
-            for tau, sign in touching[name].items():
-                if tau in assigned:
-                    base -= sign * assigned[tau]
-                else:
-                    spread += abs(sign) * cap
-            lo, hi = base - spread, base + spread
-            if lo <= 0 <= hi:
-                continue
-            nearest = min(abs(lo), abs(hi))
-            lb = lb + cost(nearest) * cx.measure(dim, name)
-        return lb
-
-    def descend(i: int, assigned: dict[str, int]) -> None:
-        nonlocal best_value, best_s
-        if best_value is not None and not strictly_less(lower_bound(assigned), best_value):
-            return
-        if i == len(taus):
-            s = Chain(dim + 1, dict(assigned))
-            v = h_mass(cx, t - boundary(cx, s), h) + h_mass(cx, s, h)
-            if best_value is None or strictly_less(v, best_value):
-                best_value = v
-                best_s = s
-            return
-        name = taus[i]
-        for v in range(-cap, cap + 1):
-            assigned[name] = v
-            descend(i + 1, assigned)
-        del assigned[name]
-
-    descend(0, {})
-    assert best_value is not None and best_s is not None
+            rows[face].append((tau, sign))
+    values = range(-cap, cap + 1)
+    out = search(
+        taus, {tau: values for tau in taus},
+        {tau: {v: cx.measure(dim + 1, tau) * cost(abs(v)) for v in values} for tau in taus},
+        rows, {}, {name: partial(least, t.get(name), cx.measure(dim, name)) for name in rows},
+        limit=1)
+    best_s = Chain(dim + 1, dict(zip(taus, out.found[0])))
     remainder = t - boundary(cx, best_s)
+    value = h_mass(cx, remainder, h) + h_mass(cx, best_s, h)
     active = any(abs(v) == cap for v in best_s.coeffs.values()) and cap > 0
-    return FlatCertificate(best_value, best_s, remainder, cap=cap, cap_active=active)
+    return FlatCertificate(value, best_s, remainder, cap=cap, cap_active=active)
 
 
 def enumerate_flat_integral(cx: CellComplex, t1: Chain, t2: Chain, cap: int,
@@ -272,6 +232,3 @@ def enumerate_flat_integral(cx: CellComplex, t1: Chain, t2: Chain, cap: int,
     active = any(abs(v) == cap for v in best_s.coeffs.values()) and cap > 0
     return FlatCertificate(best_value, best_s, remainder, cap=cap, cap_active=active)
 
-
-def certificates_agree(a: FlatCertificate, b: FlatCertificate) -> bool:
-    return values_equal(a.value, b.value) and a.filling == b.filling

@@ -286,7 +286,8 @@ def slice_chain(p: PolyhedralChain, proj, level) -> ZeroCurrent:
     y = _check_level(level, m)
     if p.is_zero:
         return ZeroCurrent(n, ())
-    verts = _vertex_array(p)
+    points, ends = _vertex_table(p)
+    verts = points[ends]
     x = _crossings((verts @ pr.T)[None], y[None])
     bad = np.flatnonzero(x.tangent[0] | x.facet[0])
     if bad.size:
@@ -466,11 +467,6 @@ def _crofton_beta(n: int, m: int) -> float:
     return ratio / math.pi if n % 2 == 0 and m % 2 == 1 else ratio
 
 
-def _vertex_array(p: PolyhedralChain) -> np.ndarray:
-    """Float vertex coordinates of every simplex: (simplices, dim + 1, ambient)."""
-    return np.array([[[float(c) for c in v] for v in s] for s, _ in p.simplices], dtype=float)
-
-
 def _vertex_table(p: PolyhedralChain) -> tuple[np.ndarray, np.ndarray]:
     """Float coordinates of `p.vertices()` (V, ambient) and, for each simplex,
     the indices of its vertices in that table (simplices, dim + 1)."""
@@ -575,12 +571,12 @@ def _raw_samples(p: PolyhedralChain, h: Integrand, samples: int, seed: int,
     """
     m, n = p.dim, p.ambient
     hw = np.array([float(h(abs(w))) for _, w in p.simplices], dtype=float)
+    points, ends = _vertex_table(p)
     if m == 1:
-        points, ends = _vertex_table(p)
         geometry = (points, ends, hw)
         rows = max(len(points), len(ends))
     else:
-        geometry = (_vertex_array(p), hw)
+        geometry = (points[ends], hw)
         rows = len(hw)
     chunk = max(1, _CHUNK_PAIRS // rows)
     out = np.empty(samples, dtype=float)

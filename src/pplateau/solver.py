@@ -2,11 +2,10 @@
 
 The problem: over integer m-chains T with boundary(T - T0) a subcurrent of a
 prescribed (m-1)-chain B, minimize H-weighted mass minus the pairing of a
-fixed cochain with boundary(T). The energy separates per m-cell once the
-pairing is folded into per-cell linear terms, so branch-and-bound gets exact
-lower bounds by summing each free cell's cheapest contribution over its own
-coefficient domain; the coupling lives entirely in the per-edge boundary
-intervals, enforced incrementally with interval arithmetic.
+fixed cochain with boundary(T). Once the pairing is folded into per-cell
+linear terms the energy separates per m-cell, and the constraint is one
+integer box per (m-1)-cell on a signed sum of its cofaces' coefficients:
+exactly the input of the branch-and-bound engine in `pplateau.search`.
 
 Coefficient caps are either supplied or derived from the energy budget of the
 reference chain T0: any T whose energy does not exceed T0's has weighted mass
@@ -17,10 +16,8 @@ reports (and `bounds_active` refers to); the search runs on the domains
 inside it that bounds-consistency propagation over the per-edge rows leaves,
 which drops only values no admissible chain in the box takes.
 
-Search visits coefficient vectors in ascending lexicographic order over the
-complex's fixed cell order; minimizer lists come out lex-sorted and the
-exhaustive oracle filters with the same per-edge predicate, making the two
-routes set-comparable.
+Minimizer lists come out lex-sorted, and the exhaustive oracle filters with
+the same per-edge predicate, making the two routes set-comparable.
 """
 
 from __future__ import annotations
@@ -34,6 +31,7 @@ from .complexes import CellComplex, Chain, Cochain, boundary
 from .errors import DomainError, SearchSpaceError
 from .functionals import EnergyValue, Integrand, comass, energy, h_mass, mass
 from .numeric import Number, strictly_less, values_equal
+from .search import _propagate, search
 from .subcurrent import boundary_box, is_subcurrent_cellwise
 
 DEFAULT_MINIMIZER_LIMIT = 64
@@ -162,67 +160,13 @@ class _Instance:
         return self.h_of(abs(t)) * self.mu[name] - t * self.q[name]
 
 
-def _quotients(u: int, w: int, s: int) -> tuple[int, int]:
-    """The integers t with u <= s * t <= w, as inclusive ends (first > last
-    when there are none); dividing by a negative s swaps u and w."""
-    if s < 0:
-        u, w = w, u
-    return -(-u // s), w // s
-
-
-def _propagate(touch: dict[str, list[tuple[str, int]]], box: dict[str, tuple[int, int]],
-               caps: dict[str, int]) -> dict[str, range]:
-    """Bounds-consistent coefficient domains inside the cap box.
-
-    Each (m-1)-cell row reads lo <= sum(s * t) <= hi over its cofaces. A term
-    s * t can reach at most what the box leaves after the other terms take
-    their extremes, so its cell's interval shrinks to that range, rounded
-    inward. Rows are revised until none shrinks a domain: the fixed point
-    drops only values no admissible chain in the cap box takes, and the loop
-    ends because every revision that requeues a row strictly shrinks a finite
-    integer interval.
-    """
-    lo = {name: -cap for name, cap in caps.items()}
-    hi = dict(caps)
-    rows_of: dict[str, list[str]] = {name: [] for name in caps}
-    for e, row in touch.items():
-        for name, _ in row:
-            rows_of[name].append(e)
-    pending = [e for e, row in touch.items() if row]
-    queued = set(pending)
-    while pending:
-        e = pending.pop()
-        queued.discard(e)
-        blo, bhi = box[e]
-        terms = [sorted((s * lo[n], s * hi[n])) for n, s in touch[e]]
-        least = sum(a for a, _ in terms)
-        most = sum(b for _, b in terms)
-        for (n, s), (a, b) in zip(touch[e], terms):
-            t_lo, t_hi = _quotients(blo - (most - b), bhi - (least - a), s)
-            new_lo = max(lo[n], t_lo)
-            new_hi = min(hi[n], t_hi)
-            if new_lo > new_hi:
-                raise DomainError("infeasible constraints: a cell's coefficient box is empty")
-            if (new_lo, new_hi) != (lo[n], hi[n]):
-                lo[n], hi[n] = new_lo, new_hi
-                for f in rows_of[n]:
-                    if f not in queued:
-                        queued.add(f)
-                        pending.append(f)
-    return {name: range(lo[name], hi[name] + 1) for name in caps}
-
-
 def solve(p: Problem, caps: Optional[Caps] = None,
           max_minimizers: Optional[int] = DEFAULT_MINIMIZER_LIMIT) -> Solution:
     """Branch-and-bound over admissible chains; reports all minimizers (to a limit).
 
-    Each cell branches over its propagated domain (see `_propagate`). Pruning
-    is twofold: per-edge interval arithmetic over the unassigned cells'
-    domains narrows each branching cell to the values that can still reach
-    every boundary box, and the exact separable bound (fixed cells'
-    contributions plus each free cell's cheapest value over its domain)
-    discards subtrees that cannot strictly beat the incumbent. Subtrees that
-    could merely tie are kept, so the minimizer set is complete.
+    The m-cells are the variables of `pplateau.search`, over their propagated
+    domains (`_propagate`), and each (m-1)-cell's row is held inside its
+    boundary box. The list is complete unless `truncated` says more exist.
     """
     cap_map = _resolve_caps(p, caps)
     inst = _Instance(p)
@@ -241,90 +185,15 @@ def solve(p: Problem, caps: Optional[Caps] = None,
                               "and no cell reaches it")
 
     contrib_tab = {name: {v: inst.contrib(name, v) for v in domains[name]} for name in names}
-    min_contrib = {name: min(tab.values()) for name, tab in contrib_tab.items()}
-    suffix_min: list[Number] = [0] * (len(names) + 1)
-    for i in range(len(names) - 1, -1, -1):
-        suffix_min[i] = suffix_min[i + 1] + min_contrib[names[i]]
-
-    # Per-edge running state: the assigned cells' partial sum, and the least
-    # and greatest sums the unassigned cells' domains can still add. A cell's
-    # entries carry its own term's extremes, taken out while it branches, and
-    # its edges' boxes.
-    entries: dict[str, list[tuple[str, int, int, int, int, int]]] = {}
-    psum = {e: 0 for e in inst.edges}
-    rest_lo = {e: 0 for e in inst.edges}
-    rest_hi = {e: 0 for e in inst.edges}
-    for name in names:
-        d = domains[name]
-        entries[name] = []
-        for e, s in inst.rows[name].items():
-            a, b = sorted((s * d[0], s * d[-1]))
-            entries[name].append((e, s, a, b, *box[e]))
-            rest_lo[e] += a
-            rest_hi[e] += b
-
-    limit = max_minimizers if max_minimizers is not None else None
-    best: Optional[Number] = None
-    found: list[dict[str, int]] = []
-    truncated = False
-    nodes = 0
-    assigned: dict[str, int] = {}
-
-    def descend(i: int, acc: Number) -> None:
-        nonlocal best, truncated, nodes
-        nodes += 1
-        if best is not None and strictly_less(best, acc + suffix_min[i]):
-            return
-        if i == len(names):
-            if best is None or strictly_less(acc, best):
-                best = acc
-                found.clear()
-                found.append(dict(assigned))
-                truncated = False
-            elif values_equal(acc, best):
-                if limit is None or len(found) < limit:
-                    found.append(dict(assigned))
-                else:
-                    truncated = True
-            return
-        name = names[i]
-        here = entries[name]
-        # The values that keep every edge's reachable range meeting its box.
-        d = domains[name]
-        first, last = d[0], d[-1]
-        for e, s, a, b, lo, hi in here:
-            rl = rest_lo[e] - a
-            rh = rest_hi[e] - b
-            rest_lo[e] = rl
-            rest_hi[e] = rh
-            v_lo, v_hi = _quotients(lo - psum[e] - rh, hi - psum[e] - rl, s)
-            if v_lo > first:
-                first = v_lo
-            if v_hi < last:
-                last = v_hi
-        row = inst.rows[name].items()
-        tab = contrib_tab[name]
-        for v in range(first, last + 1):
-            for e, s in row:
-                psum[e] += s * v
-            assigned[name] = v
-            descend(i + 1, acc + tab[v])
-            del assigned[name]
-            for e, s in row:
-                psum[e] -= s * v
-        for e, _, a, b, _, _ in here:
-            rest_lo[e] += a
-            rest_hi[e] += b
-
-    descend(0, Fraction(0) if p.h.is_exact else 0.0)
-    if best is None:
+    out = search(names, domains, contrib_tab, touch, box, {}, limit=max_minimizers)
+    if out.best is None:
         raise DomainError("infeasible constraints: no admissible chain in the cap box")
 
-    minimizers = tuple(Chain(p.dim, m) for m in found)
+    minimizers = tuple(Chain(p.dim, dict(zip(names, m))) for m in out.found)
     value = energy(p.cx, minimizers[0], p.h, p.phi)
     active = any(abs(v) == cap_map[n] and cap_map[n] > 0
                  for m in minimizers for n, v in m.coeffs.items())
-    return Solution(minimizers, value, cap_map, active, truncated, nodes)
+    return Solution(minimizers, value, cap_map, active, out.truncated, out.nodes)
 
 
 def exhaustive_oracle(p: Problem, caps: Optional[Caps] = None,

@@ -6,6 +6,10 @@ import random
 from fractions import Fraction
 
 from pplateau.complexes import CellComplex, Chain, Cochain
+from pplateau.errors import DomainError
+from pplateau.flatnorm import FlatCertificate
+from pplateau.functionals import Integrand, h_mass, mass
+from pplateau.numeric import values_equal
 
 
 def interval(edge_measure=1, va=1, vb=1) -> CellComplex:
@@ -136,3 +140,34 @@ def random_cochain(rng: random.Random, cx: CellComplex, dim: int,
 
 def chain_dicts(chains) -> list[dict]:
     return [dict(c.items()) for c in chains]
+
+
+def is_subcurrent(cx: CellComplex, a: Chain, b: Chain) -> bool:
+    """The paper's mass identity: mass(b) == mass(b - a) + mass(a), computed exactly.
+
+    The library decides subcurrents cellwise; this is the test oracle that
+    rule is checked against.
+    """
+    if a.is_zero:
+        return True
+    if a.dim != b.dim and not b.is_zero:
+        raise DomainError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    diff = Chain(a.dim, {
+        name: Fraction(b.get(name)) - Fraction(a.get(name))
+        for name in a.support() | b.support()
+    })
+    return mass(cx, b) == mass(cx, diff) + mass(cx, a)
+
+
+def subcurrent_masses_dominated(cx: CellComplex, a: Chain, b: Chain, h: Integrand) -> bool:
+    """mass(a) <= mass(b) and weighted mass likewise; holds whenever a is a subcurrent of b."""
+    ma, mb = mass(cx, a), mass(cx, b)
+    ha, hb = h_mass(cx, a, h), h_mass(cx, b, h)
+    mass_ok = ma <= mb
+    if isinstance(ha, Fraction) and isinstance(hb, Fraction):
+        return mass_ok and ha <= hb
+    return mass_ok and float(ha) <= float(hb) + 1e-9
+
+
+def certificates_agree(a: FlatCertificate, b: FlatCertificate) -> bool:
+    return values_equal(a.value, b.value) and a.filling == b.filling

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from pplateau.complexes import Chain, Cochain, boundary
 from pplateau.flatnorm import (
-    certificates_agree,
     enumerate_flat_integral,
     flat_distance_integral,
     flat_norm_real,
@@ -30,11 +29,7 @@ from pplateau.slicer import (
     poly_mass,
 )
 from pplateau.solver import Problem, certify, exhaustive_oracle, solve
-from pplateau.subcurrent import (
-    check_limit_closure,
-    is_subcurrent,
-    subcurrent_masses_dominated,
-)
+from pplateau.subcurrent import check_limit_closure
 from pplateau.sunflower import (
     as_problem,
     build_sunflower,
@@ -42,7 +37,15 @@ from pplateau.sunflower import (
     thresholds,
 )
 
-from tcommon import chain_dicts, random_chain, random_cochain, random_complex
+from tcommon import (
+    certificates_agree,
+    chain_dicts,
+    is_subcurrent,
+    random_chain,
+    random_cochain,
+    random_complex,
+    subcurrent_masses_dominated,
+)
 
 IDENT = Integrand.identity()
 SQRT = Integrand.power(Fraction(1, 2))

@@ -9,7 +9,6 @@ from pplateau.errors import DomainError
 from pplateau.flatnorm import (
     FlatCertificate,
     _FlatLP,
-    certificates_agree,
     enumerate_flat_integral,
     flat_distance_integral,
     flat_norm_real,
@@ -19,7 +18,15 @@ from pplateau.flatnorm import (
 from pplateau.functionals import Integrand, h_mass, mass
 from pplateau.lp import OPTIMAL, solve_lp
 
-from tcommon import grid, grid_outer_boundary, interval, random_chain, random_complex, square
+from tcommon import (
+    certificates_agree,
+    grid,
+    grid_outer_boundary,
+    interval,
+    random_chain,
+    random_complex,
+    square,
+)
 
 
 def test_interval_boundary_fills_cheaply():

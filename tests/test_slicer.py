@@ -519,6 +519,12 @@ def _dyadic_line_cases():
     return cases
 
 
+def _simplex_vertices(p):
+    """Float coordinates of every simplex's vertices, (s, m + 1, n), built
+    here so the oracles' inputs do not come from the code under test."""
+    return np.array([[[float(c) for c in v] for v in s] for s, _ in p.simplices], dtype=float)
+
+
 def _sample_major_line_values(dirs, u, verts, hw):
     """The (k, s) layout the simplex-major kernel replaced: its bit-level oracle."""
     a = np.einsum("kn,sn->ks", dirs, verts[:, 0, :])
@@ -626,7 +632,7 @@ def test_shared_vertex_chains_share_vertices():
 def test_line_values_on_shared_vertices_bit_identical_to_sample_major_layout(name):
     chain = SHARED_VERTEX_CHAINS[name]
     points, ends = slicer._vertex_table(chain)
-    verts = slicer._vertex_array(chain)
+    verts = _simplex_vertices(chain)
     rng = np.random.default_rng(len(ends))
     k = 400
     dirs = rng.standard_normal((k, chain.ambient))
@@ -688,7 +694,7 @@ def test_raw_samples_bit_identical_to_linalg_norm_directions(n):
     dirs = g / np.linalg.norm(g, axis=1)[:, None]
     hw = np.array([float(SQRT(abs(w))) for _, w in chain.simplices])
     want, degenerate = _sample_major_line_values(dirs, rng.random(k),
-                                                 slicer._vertex_array(chain), hw)
+                                                 _simplex_vertices(chain), hw)
     assert resampled == 0 and not degenerate.any()
     assert raw.tobytes() == want.tobytes()
 
@@ -907,7 +913,7 @@ def test_slice_chain_matches_per_simplex_reference():
 def test_sampler_values_match_per_simplex_reference():
     nrng = np.random.default_rng(59)
     for p in _two_chains_for_reference():
-        verts = slicer._vertex_array(p)
+        verts = _simplex_vertices(p)
         hw = np.array([float(TABLE(abs(w))) for _, w in p.simplices])
         frames = np.linalg.qr(nrng.standard_normal((200, 3, 2)))[0].swapaxes(1, 2)
         u = nrng.random((200, 2))

@@ -8,8 +8,8 @@ from pplateau.complexes import CellComplex, Chain, Cochain, boundary
 from pplateau.errors import DomainError, SearchSpaceError
 from pplateau.functionals import Integrand, energy
 from pplateau.numeric import values_equal
+from pplateau.search import _propagate
 from pplateau.solver import (
-    _propagate,
     CertifyReport,
     Problem,
     Solution,
@@ -18,12 +18,12 @@ from pplateau.solver import (
     exhaustive_oracle,
     solve,
 )
-from pplateau.subcurrent import is_subcurrent
 from pplateau.sunflower import as_problem, build_sunflower
 
 from tcommon import (
     chain_dicts,
     interval,
+    is_subcurrent,
     random_chain,
     random_cochain,
     random_complex,

@@ -9,13 +9,17 @@ from pplateau.functionals import Integrand, h_mass, mass
 from pplateau.subcurrent import (
     boundary_box,
     check_limit_closure,
-    is_subcurrent,
     is_subcurrent_cellwise,
-    subcurrent_masses_dominated,
 )
 from pplateau.sunflower import build_sunflower
 
-from tcommon import random_chain, random_complex
+from tcommon import (
+    interval,
+    is_subcurrent,
+    random_chain,
+    random_complex,
+    subcurrent_masses_dominated,
+)
 
 
 def two_points():
@@ -193,6 +197,17 @@ def test_limit_closure_rejects_non_subcurrent_entries():
     bad = Chain(0, {"s1": -1})
     with pytest.raises(DomainError):
         check_limit_closure(cx, [bad, bad], b)
+
+
+def test_limit_closure_sees_zero_measure_cells():
+    # The mass identity is blind to a's extra 5 on the measure-0 vertex a:
+    # 5*a + b is not a subcurrent of b cellwise, so the sequence is rejected.
+    cx = interval(va=0)
+    b = Chain(0, {"b": 1})
+    bad = Chain(0, {"a": 5, "b": 1})
+    assert is_subcurrent(cx, bad, b) and not is_subcurrent_cellwise(cx, bad, b)
+    with pytest.raises(DomainError, match="entry 0"):
+        check_limit_closure(cx, [bad], b)
 
 
 def test_limit_closure_rejects_empty():
