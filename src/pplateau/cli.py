@@ -59,10 +59,6 @@ def _chain_payload(chain: Chain) -> dict:
     return {name: coeff for name, coeff in chain.items()}
 
 
-def _print_chain(chain: Chain, out=None) -> None:
-    (out or sys.stdout).write(emit_chain(chain))
-
-
 def _emit(args, command: str, payload: dict, text_lines: list[str]) -> None:
     if args.emit == "json":
         sys.stdout.write(render_output(command, payload))

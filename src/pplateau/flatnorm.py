@@ -41,70 +41,11 @@ class FlatCertificate:
     dual: Optional[Cochain] = None  # optimality witness for the real variant
 
 
-class _FlatLP:
-    """Shared LP builder: rows per m-cell, split variables for R and S."""
-
-    def __init__(self, cx: CellComplex, dim: int):
-        self.cx = cx
-        self.dim = dim
-        self.sigmas = cx.cell_names(dim)
-        self.taus = cx.cell_names(dim + 1)
-        self.sigma_pos = {name: i for i, name in enumerate(self.sigmas)}
-        # Boundary columns of each (dim+1)-cell restricted to the row order.
-        self.tau_cols = {
-            tau: {self.sigma_pos[f]: s for f, s in cx.boundary_row(dim + 1, tau).items()}
-            for tau in self.taus
-        }
-        self.ncols = 2 * len(self.sigmas) + 2 * len(self.taus)
-
-    def cost(self) -> list[Fraction]:
-        mu_s = [self.cx.measure(self.dim, n) for n in self.sigmas]
-        mu_t = [self.cx.measure(self.dim + 1, n) for n in self.taus]
-        out: list[Fraction] = []
-        for mu in mu_s:
-            out += [mu, mu]
-        for mu in mu_t:
-            out += [mu, mu]
-        return out
-
-    def rows(self, t: Chain) -> tuple[list[list[Fraction]], list[Fraction]]:
-        n_s = len(self.sigmas)
-        rows = []
-        rhs = []
-        for i, name in enumerate(self.sigmas):
-            row = [Fraction(0)] * self.ncols
-            row[2 * i] = Fraction(1)
-            row[2 * i + 1] = Fraction(-1)
-            for j, tau in enumerate(self.taus):
-                d = self.tau_cols[tau].get(i, 0)
-                if d:
-                    row[2 * n_s + 2 * j] = Fraction(d)
-                    row[2 * n_s + 2 * j + 1] = Fraction(-d)
-            rows.append(row)
-            rhs.append(Fraction(t.get(name)))
-        return rows, rhs
-
-    def filling_from(self, x) -> Chain:
-        n_s = len(self.sigmas)
-        vals = {}
-        for j, tau in enumerate(self.taus):
-            v = x[2 * n_s + 2 * j] - x[2 * n_s + 2 * j + 1]
-            if v != 0:
-                vals[tau] = v
-        return Chain(self.dim + 1, vals)
-
-    def pin_row(self, tau: str) -> list[Fraction]:
-        n_s = len(self.sigmas)
-        j = self.taus.index(tau)
-        row = [Fraction(0)] * self.ncols
-        row[2 * n_s + 2 * j] = Fraction(1)
-        row[2 * n_s + 2 * j + 1] = Fraction(-1)
-        return row
-
-
 def flat_norm_real(cx: CellComplex, t: Chain) -> FlatCertificate:
     """Exact real flat norm with a dual optimality certificate.
 
+    One LP row per m-cell reads R + boundary(S) = T, over split columns R+, R-
+    per m-cell, then S+, S- per (m+1)-cell, each costing the cell's measure.
     The optimal filling is made canonical by re-minimizing each coefficient in
     cell order over the optimal face, so ties resolve to the lexicographically
     least optimal filling. This is one LP run: after the base optimum, columns
@@ -116,13 +57,31 @@ def flat_norm_real(cx: CellComplex, t: Chain) -> FlatCertificate:
     """
     cx.check_chain(t)
     dim = t.dim
-    lp = _FlatLP(cx, dim)
-    rows, rhs = lp.rows(t)
-    res = solve_lp(lp.cost(), rows, rhs, lex=[lp.pin_row(tau) for tau in lp.taus])
+    sigmas, taus = cx.cell_names(dim), cx.cell_names(dim + 1)
+    n_s = len(sigmas)
+    ncols = 2 * (n_s + len(taus))
+
+    def split(entries: dict[int, int]) -> list[Fraction]:  # +v and -v on k's two columns
+        row = [Fraction(0)] * ncols
+        for k, v in entries.items():
+            row[2 * k], row[2 * k + 1] = Fraction(v), Fraction(-v)
+        return row
+
+    # Variable i < n_s is R on sigma i; variable n_s + j is S on tau j.
+    pos = {name: i for i, name in enumerate(sigmas)}
+    entries = [{i: 1} for i in range(n_s)]
+    for j, tau in enumerate(taus):
+        for face, sign in cx.boundary_row(dim + 1, tau).items():
+            entries[pos[face]][n_s + j] = sign
+    cost = [cx.measure(d, name) for d, names in ((dim, sigmas), (dim + 1, taus))
+            for name in names for _ in range(2)]
+    res = solve_lp(cost, [split(e) for e in entries], [Fraction(t.get(name)) for name in sigmas],
+                   lex=[split({n_s + j: 1}) for j in range(len(taus))])
     if res.status != OPTIMAL:
         raise DomainError(f"flat norm LP unexpectedly {res.status}")
-    dual = Cochain(dim, {name: res.y[i] for i, name in enumerate(lp.sigmas) if res.y[i] != 0})
-    filling = lp.filling_from(res.x)
+    dual = Cochain(dim, {name: res.y[i] for i, name in enumerate(sigmas) if res.y[i] != 0})
+    filling = Chain(dim + 1, {tau: res.x[2 * (n_s + j)] - res.x[2 * (n_s + j) + 1]
+                              for j, tau in enumerate(taus)})
     remainder = t - boundary(cx, filling)
     return FlatCertificate(res.value, filling, remainder, dual=dual)
 
@@ -168,8 +127,9 @@ def h_flat_distance(cx: CellComplex, t1: Chain, t2: Chain, h: Integrand, cap: in
     The least h_mass(R) + h_mass(S), R = t1 - t2 - boundary(S), over integer
     fillings S with |coefficient| <= cap, by `pplateau.search`: its variables
     are the (m+1)-cells, and each m-cell is an unboxed row, the signed sum r of
-    its cofaces, costing measure * H(|t - r|). As H increases, a row's least
-    cost is 0 when t - r can be 0, else at the end nearest zero.
+    its cofaces, costing measure * H(|t - r|). As H does not decrease, a row's
+    least cost is 0 when t - r can be 0, else at the end nearest zero; a cost
+    that decreases somewhere a row can reach raises DomainError.
     """
     t = t1 - t2
     if not t.is_integer:
@@ -190,6 +150,13 @@ def h_flat_distance(cx: CellComplex, t1: Chain, t2: Chain, h: Integrand, cap: in
     for tau in taus:
         for face, sign in cx.boundary_row(dim + 1, tau).items():
             rows[face].append((tau, sign))
+    # `least` is a lower bound only where the cost does not decrease, on the
+    # remainders |t - r| a row can reach.
+    reach = max((abs(t.get(name)) + cap * sum(abs(s) for _, s in row)
+                 for name, row in rows.items()), default=0)
+    for j in range(reach):
+        if cost(j) > cost(j + 1):
+            raise DomainError(f"flat distance needs a nondecreasing cost; H({j}) > H({j + 1})")
     values = range(-cap, cap + 1)
     out = search(
         taus, {tau: values for tau in taus},

@@ -214,22 +214,3 @@ def solve_lp(c: Sequence, a_rows: Sequence[Sequence], b: Sequence,
         else:
             return LPResult(OPTIMAL, value, tuple(x), y, tab.pivots, pinned)
     return LPResult(OPTIMAL, value, tuple(tab.point(n)), y, tab.pivots, pinned)
-
-
-def verify_certificate(c: Sequence, a_rows: Sequence[Sequence], b: Sequence,
-                       x: Sequence, y: Sequence) -> bool:
-    """Exact weak-duality check: x primal feasible, y dual feasible, equal objectives."""
-    cost = [Fraction(v) for v in c]
-    xs = [Fraction(v) for v in x]
-    ys = [Fraction(v) for v in y]
-    if any(v < 0 for v in xs):
-        return False
-    for row, rhs in zip(a_rows, b):
-        if sum(Fraction(rv) * xv for rv, xv in zip(row, xs)) != Fraction(rhs):
-            return False
-    for j, cj in enumerate(cost):
-        if cj - sum(ys[i] * Fraction(a_rows[i][j]) for i in range(len(ys))) < 0:
-            return False
-    primal = sum(cv * xv for cv, xv in zip(cost, xs))
-    dual = sum(yv * Fraction(rhs) for yv, rhs in zip(ys, b))
-    return primal == dual

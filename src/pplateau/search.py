@@ -88,7 +88,7 @@ def search(names: list[str], domains: Mapping[str, range],
     `rows` maps a row to its terms (variable, sign), each variable at most
     once. A row is held inside its inclusive box, or without one inside its
     reachable range, so it never binds. `row_costs[e](lo, hi)` is row e's
-    least cost over values in [lo, hi]. The caller checks termless rows.
+    least cost over values in [lo, hi]. A row without terms is not checked.
     """
     # Per variable: (row, sign, least and greatest term, row box), and its costed rows.
     entries: dict[str, list[tuple[str, int, int, int, int, int]]] = {n: [] for n in names}

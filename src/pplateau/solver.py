@@ -16,14 +16,18 @@ reports (and `bounds_active` refers to); the search runs on the domains
 inside it that bounds-consistency propagation over the per-edge rows leaves,
 which drops only values no admissible chain in the box takes.
 
-Minimizer lists come out lex-sorted, and the exhaustive oracle filters with
-the same per-edge predicate, making the two routes set-comparable.
+Minimizer lists come out lex-sorted. The exhaustive oracle enumerates the
+cap box from the definitions, as `certify` checks a solution: the cellwise
+subcurrent rule on boundary(T - T0), and `energy`. It shares only the caps
+with `solve`, so the two routes are set-comparable.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -118,145 +122,86 @@ def _resolve_caps(p: Problem, caps: Optional[Caps]) -> dict[str, int]:
     return out
 
 
-class _Instance:
-    """Precomputed per-cell data shared by the search and the oracle."""
-
-    def __init__(self, p: Problem):
-        self.p = p
-        cx = p.cx
-        self.names = cx.cell_names(p.dim)
-        box = boundary_box(cx, p.budget_chain, p.reference)
-        self.box = box.as_dict()
-        exact = p.h.is_exact
-
-        self.mu = {}
-        self.q = {}
-        self.rows = {}
-        for name in self.names:
-            mu = cx.measure(p.dim, name)
-            row = cx.boundary_row(p.dim, name)
-            qv = sum((p.phi.get(f) * s for f, s in row.items()), Fraction(0))
-            self.mu[name] = mu if exact else float(mu)
-            self.q[name] = qv if exact else float(qv)
-            self.rows[name] = row
-        self.h_cache: dict[int, Number] = {}
-
-        # Every edge reachable from the cells, plus every edge the box names.
-        edges = set(self.box)
-        for row in self.rows.values():
-            edges.update(row)
-        self.edges = sorted(edges)
-        for e in self.edges:
-            self.box.setdefault(e, (0, 0))
-
-    def h_of(self, k: int) -> Number:
-        v = self.h_cache.get(k)
-        if v is None:
-            v = self.p.h(k)
-            self.h_cache[k] = v
-        return v
-
-    def contrib(self, name: str, t: int) -> Number:
-        return self.h_of(abs(t)) * self.mu[name] - t * self.q[name]
-
-
 def solve(p: Problem, caps: Optional[Caps] = None,
           max_minimizers: Optional[int] = DEFAULT_MINIMIZER_LIMIT) -> Solution:
     """Branch-and-bound over admissible chains; reports all minimizers (to a limit).
 
     The m-cells are the variables of `pplateau.search`, over their propagated
     domains (`_propagate`), and each (m-1)-cell's row is held inside its
-    boundary box. The list is complete unless `truncated` says more exist.
+    boundary box; a cell at t costs H(|t|) * measure - t * phi(boundary(cell)).
+    The list is complete unless `truncated` says more exist.
     """
     cap_map = _resolve_caps(p, caps)
-    inst = _Instance(p)
-    names = inst.names
-    box = {e: (int(lo), int(hi)) for e, (lo, hi) in inst.box.items()}
-
-    # Coface index: the cells and incidences of each (m-1)-cell's row.
-    touch: dict[str, list[tuple[str, int]]] = {e: [] for e in inst.edges}
+    cx, names = p.cx, p.cx.cell_names(p.dim)
+    rows = {name: cx.boundary_row(p.dim, name) for name in names}
+    box = boundary_box(cx, p.budget_chain, p.reference).as_dict()
+    # Coface index: the cells and incidences of each (m-1)-cell's row. An
+    # (m-1)-cell no cell reaches has a box around 0, as boundary(T0) is 0 there.
+    touch: dict[str, list[tuple[str, int]]] = {
+        e: [] for e in sorted(box.keys() | {e for row in rows.values() for e in row})}
     for name in names:
-        for e, sign in inst.rows[name].items():
+        for e, sign in rows[name].items():
             touch[e].append((name, sign))
+    box = {e: box.get(e, (0, 0)) for e in touch}
     domains = _propagate(touch, box, cap_map)
-    for e, (lo, hi) in box.items():
-        if not touch[e] and not lo <= 0 <= hi:
-            raise DomainError(f"infeasible constraints: edge {e!r} box excludes 0 "
-                              "and no cell reaches it")
 
-    contrib_tab = {name: {v: inst.contrib(name, v) for v in domains[name]} for name in names}
+    h = cache(p.h)
+    contrib_tab = {}
+    for name in names:
+        mu = cx.measure(p.dim, name)
+        q = sum((p.phi.get(f) * s for f, s in rows[name].items()), Fraction(0))
+        if not p.h.is_exact:
+            mu, q = float(mu), float(q)
+        contrib_tab[name] = {v: h(abs(v)) * mu - v * q for v in domains[name]}
     out = search(names, domains, contrib_tab, touch, box, {}, limit=max_minimizers)
-    if out.best is None:
-        raise DomainError("infeasible constraints: no admissible chain in the cap box")
-
-    minimizers = tuple(Chain(p.dim, dict(zip(names, m))) for m in out.found)
-    value = energy(p.cx, minimizers[0], p.h, p.phi)
-    active = any(abs(v) == cap_map[n] and cap_map[n] > 0
-                 for m in minimizers for n, v in m.coeffs.items())
-    return Solution(minimizers, value, cap_map, active, out.truncated, out.nodes)
+    return _solution(p, names, out.found, cap_map, out.truncated, out.nodes)
 
 
 def exhaustive_oracle(p: Problem, caps: Optional[Caps] = None,
                       max_minimizers: Optional[int] = DEFAULT_MINIMIZER_LIMIT) -> Solution:
-    """Full enumeration of the cap box with the same feasibility predicate.
+    """Full enumeration of the cap box, from the problem's definitions.
 
-    Independent route for cross-checking `solve` on small instances; refuses
-    boxes larger than a safety limit.
+    Independent route for cross-checking `solve` on small instances: a chain
+    T in the box is admissible when boundary(T - T0) is a cellwise subcurrent
+    of B, the predicate `certify` applies, and it is scored by `energy`. No
+    box, propagation or search of the solver is used. Refuses boxes larger
+    than a safety limit.
     """
     cap_map = _resolve_caps(p, caps)
-    inst = _Instance(p)
-    names = inst.names
+    cx, names = p.cx, p.cx.cell_names(p.dim)
+    if math.prod(2 * cap_map[n] + 1 for n in names) > ORACLE_LIMIT:
+        raise SearchSpaceError("cap box too large for exhaustive enumeration")
 
-    size = 1
-    for name in names:
-        size *= 2 * cap_map[name] + 1
-        if size > ORACLE_LIMIT:
-            raise SearchSpaceError("cap box too large for exhaustive enumeration")
-    for e, (lo, hi) in inst.box.items():
-        if not any(inst.rows[n].get(e) for n in names) and not lo <= 0 <= hi:
-            raise DomainError(f"infeasible constraints: edge {e!r} box excludes 0 "
-                              "and no cell reaches it")
-
-    limit = max_minimizers if max_minimizers is not None else None
+    dt0 = boundary(cx, p.reference)  # boundary is linear: boundary(T - T0) = boundary(T) - dt0
     best: Optional[Number] = None
     found: list[tuple[int, ...]] = []
     truncated = False
-    ranges = [range(-cap_map[n], cap_map[n] + 1) for n in names]
-    rows = [list(inst.rows[n].items()) for n in names]
-
-    for combo in itertools.product(*ranges):
-        sums: dict[str, int] = {}
-        for row, v in zip(rows, combo):
-            if v:
-                for e, s in row:
-                    sums[e] = sums.get(e, 0) + s * v
-        feasible = True
-        for e, (lo, hi) in inst.box.items():
-            if not lo <= sums.get(e, 0) <= hi:
-                feasible = False
-                break
-        if not feasible:
+    for combo in itertools.product(*(range(-cap_map[n], cap_map[n] + 1) for n in names)):
+        t = Chain(p.dim, dict(zip(names, combo)))
+        if not is_subcurrent_cellwise(cx, boundary(cx, t) - dt0, p.budget_chain):
             continue
-        acc: Number = Fraction(0) if p.h.is_exact else 0.0
-        for name, v in zip(names, combo):
-            acc = acc + inst.contrib(name, v)
-        if best is None or strictly_less(acc, best):
-            best = acc
+        value = energy(cx, t, p.h, p.phi).energy
+        if best is None or strictly_less(value, best):
+            best = value
             found = [combo]
             truncated = False
-        elif values_equal(acc, best):
-            if limit is None or len(found) < limit:
+        elif values_equal(value, best):
+            if max_minimizers is None or len(found) < max_minimizers:
                 found.append(combo)
             else:
                 truncated = True
+    return _solution(p, names, found, cap_map, truncated, 0)
 
-    if best is None:
+
+def _solution(p: Problem, names: list[str], found: list[tuple[int, ...]],
+              cap_map: dict[str, int], truncated: bool, nodes: int) -> Solution:
+    if not found:
         raise DomainError("infeasible constraints: no admissible chain in the cap box")
-    minimizers = tuple(Chain(p.dim, dict(zip(names, combo))) for combo in found)
+    minimizers = tuple(Chain(p.dim, dict(zip(names, m))) for m in found)
     value = energy(p.cx, minimizers[0], p.h, p.phi)
     active = any(abs(v) == cap_map[n] and cap_map[n] > 0
                  for m in minimizers for n, v in m.coeffs.items())
-    return Solution(minimizers, value, cap_map, active, truncated)
+    return Solution(minimizers, value, cap_map, active, truncated, nodes)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from pplateau.complexes import CellComplex, Chain, Cochain
 from pplateau.errors import DomainError
@@ -171,3 +172,22 @@ def subcurrent_masses_dominated(cx: CellComplex, a: Chain, b: Chain, h: Integran
 
 def certificates_agree(a: FlatCertificate, b: FlatCertificate) -> bool:
     return values_equal(a.value, b.value) and a.filling == b.filling
+
+
+def verify_certificate(c: Sequence, a_rows: Sequence[Sequence], b: Sequence,
+                       x: Sequence, y: Sequence) -> bool:
+    """Exact weak-duality check: x primal feasible, y dual feasible, equal objectives."""
+    cost = [Fraction(v) for v in c]
+    xs = [Fraction(v) for v in x]
+    ys = [Fraction(v) for v in y]
+    if any(v < 0 for v in xs):
+        return False
+    for row, rhs in zip(a_rows, b):
+        if sum(Fraction(rv) * xv for rv, xv in zip(row, xs)) != Fraction(rhs):
+            return False
+    for j, cj in enumerate(cost):
+        if cj - sum(ys[i] * Fraction(a_rows[i][j]) for i in range(len(ys))) < 0:
+            return False
+    primal = sum(cv * xv for cv, xv in zip(cost, xs))
+    dual = sum(yv * Fraction(rhs) for yv, rhs in zip(ys, b))
+    return primal == dual

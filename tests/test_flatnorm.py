@@ -8,7 +8,6 @@ from pplateau.complexes import CellComplex, Chain, Cochain, boundary, pair
 from pplateau.errors import DomainError
 from pplateau.flatnorm import (
     FlatCertificate,
-    _FlatLP,
     enumerate_flat_integral,
     flat_distance_integral,
     flat_norm_real,
@@ -163,6 +162,54 @@ def test_h_variant_inequalities():
             assert fh <= float(h_mass(cx, t, h)) + 1e-9
 
 
+def _two_cycle_complex():
+    """A small random complex, written out: two vertices, four edges, three faces."""
+    cx = CellComplex()
+    cx.add_cell(0, "v0", 3)
+    cx.add_cell(0, "v1", 1)
+    for name, mu in (("e0", 3), ("e1", 3), ("e2", 3), ("e3", 2)):
+        cx.add_cell(1, name, mu)
+    for name, face, sign in (("e1", "v0", -1), ("e1", "v1", -1), ("e2", "v0", 1),
+                             ("e2", "v1", 1), ("e3", "v1", -1)):
+        cx.add_face(1, name, face, sign)
+    for name, mu in (("f0", 2), ("f1", 1), ("f2", 1)):
+        cx.add_cell(2, name, mu)
+    for name, face, sign in (("f0", "e1", -1), ("f1", "e0", 1), ("f1", "e1", -1),
+                             ("f1", "e2", 1), ("f1", "e3", -1), ("f2", "e1", 1),
+                             ("f2", "e3", -1)):
+        cx.add_face(2, name, face, sign)
+    return cx
+
+
+def test_h_flat_distance_rejects_a_decreasing_cost():
+    """H(1) = 3 > H(2) = 1: a row's least cost over an interval is then not at
+    the end nearest zero, and the search returned 20 where the least filling
+    costs 14. A cost that decreases where a row can reach is rejected."""
+    cx = _two_cycle_complex()
+    t1 = Chain(1, {"e1": 1, "e2": -1, "e3": 1})
+    t2 = Chain(1, {"e0": -1, "e1": -1, "e2": -1, "e3": -1})
+    h = Integrand.table([(0, 0), (1, 3), (2, 1), (3, 4)])
+    assert enumerate_flat_integral(cx, t1, t2, cap=1, h=h).value == 14
+    with pytest.raises(DomainError, match="nondecreasing"):
+        h_flat_distance(cx, t1, t2, h, cap=1)
+    # A decrease beyond every reachable remainder is harmless: at cap 0 the
+    # remainder on a is 1, and H rises from 0 to 1.
+    small = interval()
+    t = Chain(0, {"a": 1})
+    assert certificates_agree(h_flat_distance(small, t, Chain(0, {}), h, cap=0),
+                              enumerate_flat_integral(small, t, Chain(0, {}), cap=0, h=h))
+
+
+def test_h_flat_distance_accepts_a_flat_cost():
+    cx = _two_cycle_complex()
+    t1 = Chain(1, {"e1": 1, "e2": -1, "e3": 1})
+    t2 = Chain(1, {"e0": -1, "e1": -1, "e2": -1, "e3": -1})
+    h = Integrand.table([(0, 0), (1, 1), (2, 1)])
+    for cap in (1, 2):
+        assert certificates_agree(h_flat_distance(cx, t1, t2, h, cap),
+                                  enumerate_flat_integral(cx, t1, t2, cap, h=h))
+
+
 def test_cap_active_flag():
     cx = interval()
     t = Chain(0, {"a": -2, "b": 2})
@@ -241,18 +288,45 @@ def from_scratch_flat_norm(cx, t):
     pins; if that one is infeasible the base filling stands. Returns the
     certificate and the number of stages without an optimum.
     """
-    lp = _FlatLP(cx, t.dim)
-    cost = lp.cost()
-    rows, rhs = lp.rows(t)
+    # Columns: R+ and R- per m-cell, then S+ and S- per (m+1)-cell, each
+    # costing the cell's measure; one row per m-cell reads R + boundary(S) = T.
+    sigmas, taus = cx.cell_names(t.dim), cx.cell_names(t.dim + 1)
+    width = 2 * len(sigmas) + 2 * len(taus)
+
+    def s_column(j):
+        return 2 * len(sigmas) + 2 * j
+
+    def pin_row(j):
+        row = [Fraction(0)] * width
+        row[s_column(j)], row[s_column(j) + 1] = Fraction(1), Fraction(-1)
+        return row
+
+    def filling_from(x):
+        return Chain(t.dim + 1, {tau: x[s_column(j)] - x[s_column(j) + 1]
+                                 for j, tau in enumerate(taus)})
+
+    cost = []
+    for dim, names in ((t.dim, sigmas), (t.dim + 1, taus)):
+        for name in names:
+            cost += [cx.measure(dim, name)] * 2
+    rows = []
+    for i, name in enumerate(sigmas):
+        row = [Fraction(0)] * width
+        row[2 * i], row[2 * i + 1] = Fraction(1), Fraction(-1)
+        for j, tau in enumerate(taus):
+            sign = cx.boundary_row(t.dim + 1, tau).get(name, 0)
+            row[s_column(j)], row[s_column(j) + 1] = Fraction(sign), Fraction(-sign)
+        rows.append(row)
+    rhs = [Fraction(t.get(name)) for name in sigmas]
     res = solve_lp(cost, rows, rhs)
     assert res.status == OPTIMAL
     value = res.value
-    dual = Cochain(t.dim, {name: res.y[i] for i, name in enumerate(lp.sigmas) if res.y[i] != 0})
+    dual = Cochain(t.dim, {name: res.y[i] for i, name in enumerate(sigmas) if res.y[i] != 0})
     pin_rows, pin_rhs = [], []
-    filling = lp.filling_from(res.x)
+    filling = filling_from(res.x)
     open_stages = 0
-    for tau in lp.taus:
-        obj = lp.pin_row(tau)
+    for j, tau in enumerate(taus):
+        obj = pin_row(j)
         sub = solve_lp(obj, rows + [cost] + pin_rows, rhs + [value] + pin_rhs)
         if sub.status == OPTIMAL:
             w = sub.value
@@ -261,10 +335,10 @@ def from_scratch_flat_norm(cx, t):
             w = Fraction(filling.get(tau))
         pin_rows.append(obj)
         pin_rhs.append(w)
-    if lp.taus:
+    if taus:
         final = solve_lp(cost, rows + [cost] + pin_rows, rhs + [value] + pin_rhs)
         if final.status == OPTIMAL:
-            filling = lp.filling_from(final.x)
+            filling = filling_from(final.x)
     return FlatCertificate(value, filling, t - boundary(cx, filling), dual=dual), open_stages
 
 

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from pplateau.errors import DomainError
-from pplateau.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, solve_lp, verify_certificate
+from pplateau.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, solve_lp
+
+from tcommon import verify_certificate
 
 
 def brute_force_min(c, rows, b):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import pplateau.solver as solver
 from pplateau.complexes import CellComplex, Chain, Cochain, boundary
 from pplateau.errors import DomainError, SearchSpaceError
 from pplateau.functionals import Integrand, energy
@@ -496,3 +497,43 @@ def test_solver_matches_oracle_on_general_randoms():
         outcomes["truncated"] += s.truncated
         outcomes["active"] += s.bounds_active
     assert min(outcomes.values()) >= 10, sorted(outcomes.items())
+
+
+def _outcome(route, p, caps):
+    try:
+        s = route(p, caps=caps, max_minimizers=None)
+    except DomainError as exc:
+        return type(exc)
+    return _solution_fields(s)
+
+
+def test_oracle_works_without_the_search(monkeypatch):
+    """With the search, the propagation and the boundary box unusable, the
+    oracle still answers: it works from `boundary`, `energy` and the cellwise
+    subcurrent rule. `solve` then agrees with it, infeasible cases included."""
+    rng = random.Random(57)
+    cases = []
+    for i in range(24):
+        cx = random_complex(rng, zero_share=0.3 if i % 2 else 0.0, signs=(-2, -1, 1, 2))
+        p = _problem(cx, budget=random_chain(rng, cx, 0, lo=-2, hi=2),
+                     reference=random_chain(rng, cx, 1, lo=-1, hi=1),
+                     phi=random_cochain(rng, cx, 0), h=(IDENT, SQRT, QUART)[i % 3])
+        cases.append((p, rng.randint(0, 2)))
+    cx = interval()  # the reference needs coefficient 1, beyond cap 0
+    cases.append((_problem(cx, reference=Chain(1, {"e": 1})), 0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle must not call into the search")
+
+    with monkeypatch.context() as m:
+        for name in ("search", "_propagate", "boundary_box"):
+            m.setattr(solver, name, refuse)
+        oracle = [_outcome(exhaustive_oracle, p, caps) for p, caps in cases]
+        with pytest.raises(AssertionError):
+            solve(*cases[0])
+    assert oracle == [_outcome(solve, p, caps) for p, caps in cases]
+    assert oracle == [_outcome(exhaustive_oracle, p, caps) for p, caps in cases]
+    assert oracle.count(DomainError) >= 3
+    zero_measure = [any(c.measure == 0 for d in (0, 1) for c in p.cx.cells(d))
+                    for p, _ in cases]
+    assert sum(z and o is not DomainError for z, o in zip(zero_measure, oracle)) >= 3
