@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, partial
-from fractions import Fraction
 from typing import Optional
 
 from .complexes import CellComplex, Chain, Cochain, boundary, pair, unit_chain
@@ -61,10 +60,10 @@ def flat_norm_real(cx: CellComplex, t: Chain) -> FlatCertificate:
     n_s = len(sigmas)
     ncols = 2 * (n_s + len(taus))
 
-    def split(entries: dict[int, int]) -> list[Fraction]:  # +v and -v on k's two columns
-        row = [Fraction(0)] * ncols
+    def split(entries: dict[int, int]) -> list[int]:  # +v and -v on k's two columns
+        row = [0] * ncols
         for k, v in entries.items():
-            row[2 * k], row[2 * k + 1] = Fraction(v), Fraction(-v)
+            row[2 * k], row[2 * k + 1] = v, -v
         return row
 
     # Variable i < n_s is R on sigma i; variable n_s + j is S on tau j.
@@ -75,7 +74,7 @@ def flat_norm_real(cx: CellComplex, t: Chain) -> FlatCertificate:
             entries[pos[face]][n_s + j] = sign
     cost = [cx.measure(d, name) for d, names in ((dim, sigmas), (dim + 1, taus))
             for name in names for _ in range(2)]
-    res = solve_lp(cost, [split(e) for e in entries], [Fraction(t.get(name)) for name in sigmas],
+    res = solve_lp(cost, [split(e) for e in entries], [t.get(name) for name in sigmas],
                    lex=[split({n_s + j: 1}) for j in range(len(taus))])
     if res.status != OPTIMAL:
         raise DomainError(f"flat norm LP unexpectedly {res.status}")

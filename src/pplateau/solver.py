@@ -56,17 +56,17 @@ class Problem:
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError("problem dimension must be >= 1")
-        if not self.budget_chain.is_zero and self.budget_chain.dim != self.dim - 1:
+        if self.budget_chain.dim != self.dim - 1:
             raise DomainError("boundary budget must live one dimension below the problem")
-        if not self.reference.is_zero and self.reference.dim != self.dim:
+        if self.reference.dim != self.dim:
             raise DomainError("reference chain must have the problem dimension")
-        if not self.phi.is_zero and self.phi.dim != self.dim - 1:
+        if self.phi.dim != self.dim - 1:
             raise DomainError("cochain must live one dimension below the problem")
         if not self.budget_chain.is_integer or not self.reference.is_integer:
             raise DomainError("budget and reference chains must be integer chains")
-        self.cx.check_chain(Chain(self.dim, self.reference.coeffs))
-        self.cx.check_chain(Chain(self.dim - 1, self.budget_chain.coeffs))
-        self.cx.check_cochain(Cochain(self.dim - 1, self.phi.values))
+        self.cx.check_chain(self.reference)
+        self.cx.check_chain(self.budget_chain)
+        self.cx.check_cochain(self.phi)
 
 
 @dataclass(frozen=True)

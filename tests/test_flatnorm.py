@@ -379,6 +379,33 @@ def test_real_flat_norm_reports_pinned_stages(monkeypatch):
     assert all(r.pinned == 0 for r in results[::2])  # no zero-measure cells
 
 
+@pytest.mark.parametrize("k", [1, Fraction(3, 2)])
+def test_real_flat_norm_with_rational_measures(k):
+    """A lens: edges a = p -> q of measure 5/2 and b = q -> p of measure 2/7
+    bound one face of measure 1/3. For T = k a, filling s f costs
+    (5/2 |1 - s| + (2/7 + 1/3) |s|) k, least at s = 1: R = -k b and the value
+    is 13/21 k. The dual is y = (13/21, -2/7): |y_b| = 2/7 and |y_a + y_b| =
+    1/3 are tight, so y_a can be no larger."""
+    cx = CellComplex()
+    cx.add_cell(0, "p", 1)
+    cx.add_cell(0, "q", 1)
+    cx.add_cell(1, "a", Fraction(5, 2))
+    cx.add_cell(1, "b", Fraction(2, 7))
+    cx.add_cell(2, "f", Fraction(1, 3))
+    for edge, tail, head in (("a", "p", "q"), ("b", "q", "p")):
+        cx.add_face(1, edge, tail, -1)
+        cx.add_face(1, edge, head, 1)
+    cx.add_face(2, "f", "a", 1)
+    cx.add_face(2, "f", "b", 1)
+    t = Chain(1, {"a": k})
+    cert = flat_norm_real(cx, t)
+    assert cert.value == Fraction(13, 21) * k
+    assert cert.filling == Chain(2, {"f": k})
+    assert cert.remainder == Chain(1, {"b": -k})
+    assert cert.dual == Cochain(1, {"a": Fraction(13, 21), "b": Fraction(-2, 7)})
+    assert verify_real_certificate(cx, t, cert)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_grid_outer_boundary_real_flat_norm(n):
     cx = grid(n)

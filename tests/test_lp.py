@@ -1,14 +1,17 @@
 import hashlib
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+import pplateau.flatnorm as flatnorm
 from pplateau.errors import DomainError
+from pplateau.flatnorm import flat_norm_real
 from pplateau.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, solve_lp
 
-from tcommon import verify_certificate
+from tcommon import grid, grid_outer_boundary, random_chain, random_complex, verify_certificate
 
 
 def brute_force_min(c, rows, b):
@@ -295,3 +298,116 @@ def test_lex_matches_from_scratch_stages_on_randoms():
             assert res.x == base.x
         assert verify_certificate(c, rows, b, res.x, res.y)
     assert unbounded > 0
+
+
+def flat_norm_lps(monkeypatch):
+    """(c, rows, b, lex) of each LP `flat_norm_real` builds: the outer
+    boundaries of the n x n grids, n = 1..5, then 120 random complexes, every
+    other one with zero-measure cells."""
+    lps = []
+
+    def recording(c, rows, b, lex=()):
+        lps.append((c, rows, b, lex))
+        return solve_lp(c, rows, b, lex=lex)
+
+    monkeypatch.setattr(flatnorm, "solve_lp", recording)
+    for n in range(1, 6):
+        flat_norm_real(grid(n), grid_outer_boundary(n))
+    rng = random.Random(19)
+    for i in range(120):
+        cx = random_complex(rng, zero_share=0.25 if i % 2 else 0.0)
+        flat_norm_real(cx, random_chain(rng, cx, 1))
+    return lps
+
+
+def rational_lps():
+    """300 LPs with rational data, signed costs and right-hand sides and up to
+    three lexicographic stages, of every status."""
+    rng = random.Random(20)
+
+    def q(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.choice((1, 1, 2, 3, 4)))
+
+    for _ in range(300):
+        m = rng.randint(0, 4)
+        n = rng.randint(1, 6)
+        rows = [[q(-3, 3) for _ in range(n)] for _ in range(m)]
+        c = [rng.choice((0, 0, q(-1, 3))) for _ in range(n)]
+        b = [q(-3, 3) for _ in range(m)]
+        lex = [[q(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        yield c, rows, b, lex
+
+
+# SHA-256 of repr([(status, value, x, y, pivots, pinned), ...]) over
+# flat_norm_lps() then rational_lps(), recorded while the tableau still held
+# `Fraction` entries; the integer rows must reproduce it.
+PIN_DIGEST = "5556175e7c2c3dd39c63113129fefa2ed3d1990a6669284827a2c3d1ed8013c4"
+
+
+def test_results_match_the_pinned_corpus(monkeypatch):
+    results = [solve_lp(c, rows, b, lex=lex)
+               for c, rows, b, lex in flat_norm_lps(monkeypatch) + list(rational_lps())]
+    statuses = {r.status for r in results}
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert any(r.pinned > 0 for r in results)
+    fields = [(r.status, r.value, r.x, r.y, r.pivots, r.pinned) for r in results]
+    assert hashlib.sha256(repr(fields).encode()).hexdigest() == PIN_DIGEST
+
+
+def scale_rows(rows, b, k, which):
+    """Rows i in `which` of A and b multiplied by k."""
+    return ([[k * v for v in row] if i in which else row for i, row in enumerate(rows)],
+            [k * v if i in which else v for i, v in enumerate(b)])
+
+
+def test_scaling_every_row_divides_only_the_dual():
+    """Scaling all of A and b by one rational k > 0 keeps every sign and
+    every ratio that the simplex compares, in both phases: status, x, value,
+    pivots and pinned stay, and y becomes y / k."""
+    rng = random.Random(21)
+    for c, rows, b, lex in rational_lps():
+        k = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        base = solve_lp(c, rows, b, lex=lex)
+        res = solve_lp(c, *scale_rows(rows, b, k, range(len(rows))), lex=lex)
+        assert (res.status, res.x, res.value, res.pivots, res.pinned) == \
+            (base.status, base.x, base.value, base.pivots, base.pinned)
+        assert res.y == (None if base.y is None else tuple(v / k for v in base.y))
+
+
+def test_scaling_one_row_keeps_the_optimum():
+    """Scaling row i alone reweights that row's artificial in the phase 1
+    objective, so the phase 1 pivots may change, and on some of these draws
+    they do. The status and value stay, and y with y_i multiplied by k
+    certifies the result on the unscaled LP; with one row nothing changes."""
+    rng = random.Random(22)
+    moved = 0
+    for c, rows, b, lex in rational_lps():
+        if not rows:
+            continue
+        i = rng.randrange(len(rows))
+        k = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        base = solve_lp(c, rows, b, lex=lex)
+        res = solve_lp(c, *scale_rows(rows, b, k, {i}), lex=lex)
+        assert (res.status, res.value) == (base.status, base.value)
+        moved += res.pivots != base.pivots
+        if len(rows) == 1:
+            assert (res.x, res.pivots, res.pinned) == (base.x, base.pivots, base.pinned)
+        if res.status == OPTIMAL:
+            y = [v * k if r == i else v for r, v in enumerate(res.y)]
+            assert verify_certificate(c, rows, b, res.x, y)
+    assert moved > 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), None, "one", "1/x"])
+def test_non_rational_data_is_a_domain_error(bad):
+    for c, rows, b, lex in (([bad, 1], [[1, 1]], [1], ()), ([1, 1], [[1, bad]], [1], ()),
+                            ([1, 1], [[1, 1]], [bad], ()), ([1, 1], [[1, 1]], [1], [[bad, 0]])):
+        with pytest.raises(DomainError):
+            solve_lp(c, rows, b, lex=lex)
+
+
+def test_data_that_fraction_reads_stays_accepted():
+    exact = solve_lp([Fraction(1, 2), 1], [[1, Fraction(1, 4)]], [Fraction(3, 2)])
+    assert exact.x == (Fraction(3, 2), 0)
+    for half, quarter in ((0.5, 0.25), ("1/2", "0.25"), (Decimal("0.5"), Decimal("0.25"))):
+        assert solve_lp([half, True], [[1, quarter]], ["3/2"]) == exact

@@ -170,6 +170,21 @@ def test_problem_rejects_bad_dimensions():
         Problem(cx, 2, Chain(1, {}), Chain(2, {}), Cochain(0, {"p": 1}), IDENT)
 
 
+def test_problem_rejects_zero_data_of_the_wrong_dimension():
+    """A zero budget, reference or cochain still carries a dimension; one of
+    the wrong dimension used to be accepted, and `solve` then failed in
+    `energy` as soon as a minimizer had a nonzero boundary."""
+    cx = square()
+    b, t0 = Chain(0, {"p": -1, "q": 1}), Chain(1, {"pq": 1})
+    assert solve(Problem(cx, 1, b, t0, Cochain(0, {}), IDENT), caps=1).value.energy == 1
+    with pytest.raises(DomainError, match="cochain"):
+        Problem(cx, 1, b, t0, Cochain(5, {}), IDENT)
+    with pytest.raises(DomainError, match="budget"):
+        Problem(cx, 1, Chain(2, {}), t0, Cochain(0, {}), IDENT)
+    with pytest.raises(DomainError, match="reference"):
+        Problem(cx, 1, b, Chain(0, {}), Cochain(0, {}), IDENT)
+
+
 def test_problem_rejects_fractional_data():
     cx = interval()
     with pytest.raises(DomainError):
