@@ -148,10 +148,6 @@ class Cochain:
     def items(self) -> Iterator[tuple[str, Fraction]]:
         return iter(sorted(self.values.items()))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.values
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cochain):
             return NotImplemented
@@ -211,10 +207,6 @@ class CellComplex:
 
     # -- queries ---------------------------------------------------------
 
-    @property
-    def top_dim(self) -> int:
-        return max(self._cells, default=-1)
-
     def dims(self) -> list[int]:
         return sorted(self._cells)
 
@@ -235,12 +227,6 @@ class CellComplex:
 
     def measure(self, dim: int, name: str) -> Fraction:
         return self.cell(dim, name).measure
-
-    def index(self, dim: int, name: str) -> int:
-        try:
-            return self._index[dim][name]
-        except KeyError:
-            raise DomainError(f"unknown {dim}-cell {name!r}") from None
 
     def boundary_row(self, dim: int, cell: str) -> dict[str, int]:
         """Signed faces of one d-cell, as a name -> sign mapping."""

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .complexes import CellComplex, Chain, Cochain, boundary, pair
 from .errors import DomainError, SearchSpaceError
-from .numeric import Number, is_exact, to_fraction
+from .numeric import Number, strictly_less, to_fraction
 
 GRID_MAX = 64
 
@@ -136,19 +136,15 @@ class Integrand:
     def upper_inverse(self, budget: Number) -> int:
         """Largest integer t >= 0 with H(t) <= budget.
 
-        Floats get a small upward slack so rounding never shrinks the answer.
-        Raises SearchSpaceError when H is bounded, since no finite answer is
-        guaranteed to exist.
+        H(t) <= budget is read as not `numeric.strictly_less(budget, H(t))`,
+        so float rounding never shrinks the answer. Raises SearchSpaceError
+        when H is bounded, since no finite answer is guaranteed to exist.
         """
         if not self.unbounded:
             raise SearchSpaceError("integrand is bounded; an explicit cap is required")
-        slack = 0 if (self.is_exact and is_exact(budget)) else 1e-9
 
         def fits(t: int) -> bool:
-            v = self(t)
-            if is_exact(v) and is_exact(budget):
-                return v <= budget
-            return float(v) <= float(budget) + slack
+            return not strictly_less(budget, self(t))
 
         if not fits(0):
             raise DomainError(f"budget {budget} is below H(0) = 0")
@@ -165,14 +161,6 @@ class Integrand:
             else:
                 hi = mid
         return lo
-
-    def describe(self) -> str:
-        if self.kind == "identity":
-            return "identity"
-        if self.kind == "alpha":
-            return f"alpha {self.alpha}"
-        body = ", ".join(f"({t}, {v})" for t, v in self.points)
-        return f"table {body}"
 
 
 @dataclass(frozen=True)
@@ -219,11 +207,7 @@ def validate_integrand(h: Integrand, grid_max: int = GRID_MAX) -> IntegrandRepor
         for b in range(a, grid_max + 1):
             lhs = h(a + b)
             rhs = vals[a] + vals[b]
-            if is_exact(lhs) and is_exact(rhs):
-                violated = lhs > rhs
-            else:
-                violated = float(lhs) > float(rhs) + 1e-9
-            if violated:
+            if strictly_less(rhs, lhs):
                 sub_bad = f"H({a}+{b}) = {lhs} > {rhs}"
                 break
         if sub_bad:

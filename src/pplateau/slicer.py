@@ -60,28 +60,12 @@ def _canonical(verts: tuple[Point, ...]) -> tuple[tuple[Point, ...], int]:
     return tuple(verts[i] for i in order), sign
 
 
-def _affinely_degenerate(verts: tuple[Point, ...]) -> bool:
-    """Exact rank test: do the vertices fail to span a (len-1)-plane?"""
-    base = verts[0]
-    rows = [[v[i] - base[i] for i in range(len(base))] for v in verts[1:]]
-    rank = 0
-    ncols = len(base)
-    col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, len(rows)):
-            if rows[i][col] != 0:
-                f = rows[i][col] / rows[r][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-        col += 1
-    return rank < len(verts) - 1
+def _collinear(a: Point, b: Point, c: Point) -> bool:
+    """Exact test that a triangle spans no plane: every 2x2 minor of
+    (b - a, c - a) is zero."""
+    u = [x - y for x, y in zip(b, a)]
+    v = [x - y for x, y in zip(c, a)]
+    return all(u[i] * v[j] == u[j] * v[i] for i in range(len(u)) for j in range(i))
 
 
 class PolyhedralChain:
@@ -434,7 +418,7 @@ def embed_chain(cx: CellComplex, chain: Chain, coords: dict[str, Sequence]) -> P
             raise DomainError(f"missing coordinates for 2-cell {name!r}")
         for i in range(1, len(loop) - 1):
             tri = (pts[loop[0]], pts[loop[i]], pts[loop[i + 1]])
-            if not _affinely_degenerate(tri):
+            if not _collinear(*tri):
                 simplices.append((tri, c))
     return PolyhedralChain(2, ambient, simplices)
 
@@ -556,13 +540,13 @@ def _plane_values(frames: np.ndarray, u: np.ndarray, verts: np.ndarray,
     return np.prod(hi - lo, axis=1) * (x.inside * hw[None, :]).sum(axis=1), degenerate
 
 
-def _raw_samples(p: PolyhedralChain, h: Integrand, samples: int, seed: int,
-                 stream: int) -> tuple[np.ndarray, int]:
+def _raw_samples(p: PolyhedralChain, h: Integrand, samples: int,
+                 seed: int) -> tuple[np.ndarray, int]:
     """Per-sample raw values boxvol * slice weighted mass; degenerates resampled.
 
     Each resampling round draws all of its directions, then all of its levels,
-    from the Philox stream keyed by (seed, stream, round). The geometry then
-    runs in chunks of at most _CHUNK_PAIRS (sample, row) pairs, so the chunking
+    from the Philox stream keyed by (seed, 0, round). The geometry then runs
+    in chunks of at most _CHUNK_PAIRS (sample, row) pairs, so the chunking
     bounds memory without changing any output. 1-chains keep their own
     vertex-margin test on the vertex table (`_line_values`), whose rows are
     vertices and simplices; 2-chains go through the crossing kernel
@@ -587,7 +571,7 @@ def _raw_samples(p: PolyhedralChain, h: Integrand, samples: int, seed: int,
         if round_no > 64:
             raise DegenerateSliceError("resampling failed to find transversal slices")
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
-            entropy=(seed, stream, round_no))))
+            entropy=(seed, 0, round_no))))
         k = pending.size
         if m == 1:
             g = rng.standard_normal((k, n))
@@ -639,7 +623,7 @@ def mc_h_mass(p: PolyhedralChain, h: Integrand, samples: int, seed: int) -> McEs
         return McEstimate(0.0, 0.0, 1.0, samples, 0)
     if p.dim not in (1, 2):
         raise DomainError(f"Monte-Carlo mass needs a 1- or 2-chain, got a {p.dim}-chain")
-    raw, resampled = _raw_samples(p, h, samples, seed, stream=0)
+    raw, resampled = _raw_samples(p, h, samples, seed)
     beta = _crofton_beta(p.ambient, p.dim)
     sem = float(raw.std(ddof=1)) / math.sqrt(samples)
     return McEstimate(float(raw.mean()) / beta, sem / beta, beta, samples, resampled)

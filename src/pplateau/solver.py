@@ -103,6 +103,11 @@ def derive_bounds(p: Problem) -> dict[str, int]:
     return caps
 
 
+def _check_limit(limit: Optional[int]) -> None:
+    if limit is not None and (type(limit) is not int or limit < 1):  # bool is not accepted
+        raise DomainError(f"minimizer limit must be None or an integer >= 1, got {limit!r}")
+
+
 def _resolve_caps(p: Problem, caps: Optional[Caps]) -> dict[str, int]:
     names = p.cx.cell_names(p.dim)
     if caps is None:
@@ -131,10 +136,11 @@ def solve(p: Problem, caps: Optional[Caps] = None,
     boundary box; a cell at t costs H(|t|) * measure - t * phi(boundary(cell)).
     The list is complete unless `truncated` says more exist.
     """
+    _check_limit(max_minimizers)
     cap_map = _resolve_caps(p, caps)
     cx, names = p.cx, p.cx.cell_names(p.dim)
     rows = {name: cx.boundary_row(p.dim, name) for name in names}
-    box = boundary_box(cx, p.budget_chain, p.reference).as_dict()
+    box = boundary_box(cx, p.budget_chain, p.reference)
     # Coface index: the cells and incidences of each (m-1)-cell's row. An
     # (m-1)-cell no cell reaches has a box around 0, as boundary(T0) is 0 there.
     touch: dict[str, list[tuple[str, int]]] = {
@@ -167,6 +173,7 @@ def exhaustive_oracle(p: Problem, caps: Optional[Caps] = None,
     box, propagation or search of the solver is used. Refuses boxes larger
     than a safety limit.
     """
+    _check_limit(max_minimizers)
     cap_map = _resolve_caps(p, caps)
     cx, names = p.cx, p.cx.cell_names(p.dim)
     if math.prod(2 * cap_map[n] + 1 for n in names) > ORACLE_LIMIT:

@@ -3,12 +3,11 @@
 A is a subcurrent of B when, on every cell, the coefficients share a sign and
 |A| <= |B|: the paper's mass identity mass(B) = mass(B - A) + mass(A) when
 every measure is positive, and stricter where zero-measure cells exist, which
-the identity cannot see. The solver, `certify` and the limit closure use it.
+the identity cannot see. `solve` reads it as `boundary_box`'s interval dict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,43 +31,12 @@ def is_subcurrent_cellwise(cx: CellComplex, a: Chain, b: Chain) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BoundaryBox:
-    """Per-cell integer intervals confining the boundary of admissible chains.
+def boundary_box(cx: CellComplex, b: Chain, t0: Chain) -> dict[str, tuple[int, int]]:
+    """Integer interval (lo, hi) per (m-1)-cell for the admissible boundary coefficients.
 
-    For the problem "boundary(T - T0) is a subcurrent of B", the boundary of T
-    must lie, cell by cell, in boundary(T0) + [interval between 0 and B]. Cells
-    off both supports get [0, 0]; every box contains boundary(T0)'s coefficient,
-    so T0 itself is always admissible.
-    """
-
-    dim: int
-    intervals: tuple[tuple[str, int, int], ...]  # (cell, lo, hi), lo <= hi
-
-    def as_dict(self) -> dict[str, tuple[int, int]]:
-        return {name: (lo, hi) for name, lo, hi in self.intervals}
-
-    def contains(self, chain: Chain) -> bool:
-        if chain.is_zero and self.dim >= 0:
-            return all(lo <= 0 <= hi for _, lo, hi in self.intervals)
-        if chain.dim != self.dim:
-            raise DomainError(f"dimension mismatch: {chain.dim} vs {self.dim}")
-        box = self.as_dict()
-        for name, v in chain.coeffs.items():
-            lo, hi = box.get(name, (0, 0))
-            if not lo <= v <= hi:
-                return False
-        for name, (lo, hi) in box.items():
-            if not lo <= chain.get(name) <= hi:
-                return False
-        return True
-
-
-def boundary_box(cx: CellComplex, b: Chain, t0: Chain) -> BoundaryBox:
-    """Integer interval per (m-1)-cell for the admissible boundary coefficients.
-
-    `b` is the prescribed boundary budget (dimension m-1), `t0` the reference
-    chain (dimension m, may be zero). Both must be integer chains.
+    boundary(T - T0) is a subcurrent of the integer budget `b` exactly when
+    boundary(T) lies in boundary(T0) + [between 0 and b] on every cell. Keys:
+    the cells of either support, sorted; every other cell's interval is [0, 0].
     """
     if not b.is_integer or not t0.is_integer:
         raise DomainError("boundary boxes require integer chains")
@@ -76,17 +44,11 @@ def boundary_box(cx: CellComplex, b: Chain, t0: Chain) -> BoundaryBox:
     dt0 = boundary(cx, t0)
     if not b.is_zero and not dt0.is_zero and b.dim != dt0.dim:
         raise DomainError(f"budget dimension {b.dim} does not match boundary(t0) dimension {dt0.dim}")
-    dim = b.dim if not b.is_zero else dt0.dim
-    if dim < 0:
-        dim = max(t0.dim - 1, 0) if not t0.is_zero else max(b.dim, 0)
-    intervals = []
+    box = {}
     for name in sorted(b.support() | dt0.support()):
-        base = dt0.get(name)
-        load = b.get(name)
-        lo = base + min(0, load)
-        hi = base + max(0, load)
-        intervals.append((name, lo, hi))
-    return BoundaryBox(dim, tuple(intervals))
+        base, load = dt0.get(name), b.get(name)
+        box[name] = (base + min(0, load), base + max(0, load))
+    return box
 
 
 def check_limit_closure(cx: CellComplex, seq: Sequence[Chain], b: Chain) -> Chain:

@@ -30,7 +30,7 @@ from .complexes import CellComplex, Chain, Cochain
 from .errors import DomainError
 from .functionals import Integrand, energy
 from .numeric import to_fraction
-from .solver import Problem, Solution
+from .solver import Problem, Solution, _check_limit
 
 
 @dataclass(frozen=True)
@@ -199,6 +199,7 @@ def closed_form_solutions(s: SunflowerScenario,
     2^(number of free neutrals) minimizers per family; at thresholds the
     adjacent families are merged.
     """
+    _check_limit(max_minimizers)
     classes = classify_petals(s)
     free_neutrals = [i for i in classes.neutral if s.feasible(i)]
     chains: list[Chain] = []

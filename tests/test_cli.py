@@ -170,6 +170,16 @@ def test_solve_infeasible_is_domain_error(files, tmp_path, capsys):
     assert "infeasible" in err
 
 
+def test_solve_minimizer_limit_below_one_is_domain_error(files, capsys):
+    code, out, err = run(capsys, [
+        "solve", "--complex", files["interval.cx"],
+        "--boundary", files["budget.chain"],
+        "--phi", files["pay.cochain"], "--cap", "1", "--max-minimizers", "0"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: minimizer limit")
+
+
 # ---------------------------------------------------------------- flatnorm
 
 def test_flatnorm_real(files, capsys):
@@ -300,6 +310,16 @@ def test_sunflower_phi_count_mismatch(capsys):
         "--disk-pairing", "0"])
     assert code == 2
     assert "3 petals" in err
+
+
+@pytest.mark.parametrize("limit", ["0", "-2"])
+def test_sunflower_minimizer_limit_below_one_is_domain_error(capsys, limit):
+    code, out, err = run(capsys, [
+        "sunflower", "--petals", "3", "--phi", "1,1,1", "--disk-pairing", "0",
+        "--max-minimizers", limit])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: minimizer limit")
 
 
 # ------------------------------------------------------------- slice-check

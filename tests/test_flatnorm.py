@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import pplateau.flatnorm as flatnorm
 from pplateau.complexes import CellComplex, Chain, Cochain, boundary, pair
-from pplateau.errors import DomainError
+from pplateau.errors import DomainError, SearchSpaceError
 from pplateau.flatnorm import (
     FlatCertificate,
     enumerate_flat_integral,
@@ -146,6 +147,15 @@ def test_h_variant_matches_enumeration_on_randoms():
         ch = h_flat_distance(cx, t1, t2, h, cap=2)
         ce = enumerate_flat_integral(cx, t1, t2, cap=2, h=h)
         assert certificates_agree(ch, ce)
+
+
+def test_enumeration_refuses_a_box_over_its_limit_before_building_fillings(monkeypatch):
+    def no_boundary(*args):
+        raise AssertionError("built a filling before checking the box size")
+    monkeypatch.setattr(flatnorm, "boundary", no_boundary)
+    assert 101 ** 4 > flatnorm.ENUMERATION_LIMIT  # grid(2) has four 2-cells
+    with pytest.raises(SearchSpaceError):
+        enumerate_flat_integral(grid(2), grid_outer_boundary(2), Chain(1, {}), cap=50)
 
 
 def test_h_variant_inequalities():
@@ -413,6 +423,24 @@ def test_grid_outer_boundary_real_flat_norm(n):
     cert = flat_norm_real(cx, t)
     assert cert.value == min(n * n, 4 * n)
     assert verify_real_certificate(cx, t, cert)
+
+
+def test_real_certificate_check_rejects_each_tampered_part():
+    cx, t = grid(2), grid_outer_boundary(2)
+    cert = flat_norm_real(cx, t)
+    assert verify_real_certificate(cx, t, cert)
+    around_q00 = Cochain(1, {"h0_0": 1, "u1_0": 1, "h0_1": -1, "u0_0": -1})
+    tampered = [
+        replace(cert, dual=None),
+        replace(cert, remainder=cert.remainder + Chain(1, {"h0_0": 1})),
+        replace(cert, value=cert.value + 1),
+        # each later dual passes every earlier test
+        replace(cert, dual=Cochain(1, {"h0_0": 2})),     # exceeds a 1-cell's measure
+        replace(cert, dual=around_q00),                   # coboundary 4 on q0_0
+        replace(cert, dual=Cochain(1, {})),               # pairs with t to 0
+    ]
+    for bad in tampered:
+        assert not verify_real_certificate(cx, t, bad)
 
 
 @pytest.mark.parametrize("n, pivots", [(3, 51), (4, 73)])

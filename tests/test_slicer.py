@@ -475,7 +475,7 @@ def test_mc_one_chains_bit_identical_long_and_one_dimensional(chain, h, samples,
      "a9566f3862e0f88d1821ab7aba4efc363533c06469c04aac43b32adb3de3e637"),
 ])
 def test_raw_samples_pinned(chain, h, samples, seed, digest):
-    raw, resampled = slicer._raw_samples(chain, h, samples, seed, 0)
+    raw, resampled = slicer._raw_samples(chain, h, samples, seed)
     assert resampled == 0
     assert hashlib.sha256(raw.tobytes()).hexdigest() == digest
 
@@ -662,7 +662,7 @@ def test_row_sum_is_numpy_pairwise_sum_to_the_bit():
 
 
 def test_degenerate_samples_are_redrawn_in_the_next_round(monkeypatch):
-    clean, _ = slicer._raw_samples(POLYLINE_R3, TABLE, 300, 5, 0)
+    clean, _ = slicer._raw_samples(POLYLINE_R3, TABLE, 300, 5)
     kernel, calls = slicer._line_values, []
 
     def flaky(dirs, u, *geometry):
@@ -673,7 +673,7 @@ def test_degenerate_samples_are_redrawn_in_the_next_round(monkeypatch):
         return values, degenerate
 
     monkeypatch.setattr(slicer, "_line_values", flaky)
-    raw, resampled = slicer._raw_samples(POLYLINE_R3, TABLE, 300, 5, 0)
+    raw, resampled = slicer._raw_samples(POLYLINE_R3, TABLE, 300, 5)
     redrawn = np.arange(300) % 3 == 0
     assert resampled == 100 and len(calls) == 2
     assert raw[~redrawn].tobytes() == clean[~redrawn].tobytes()
@@ -688,7 +688,7 @@ def test_raw_samples_bit_identical_to_linalg_norm_directions(n):
            for i in range(10)]
     chain = PolyhedralChain(1, n, [((a, b), w) for a, b, w in zip(pts, pts[1:], [1, -2, 3] * 3)])
     k, seed = 4000, 5
-    raw, resampled = slicer._raw_samples(chain, SQRT, k, seed, 0)
+    raw, resampled = slicer._raw_samples(chain, SQRT, k, seed)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, 0, 0))))
     g = rng.standard_normal((k, n))
     dirs = g / np.linalg.norm(g, axis=1)[:, None]
@@ -709,7 +709,7 @@ def _unit_square(n):
 def test_two_chain_raw_samples_pinned():
     # Recorded with the 1-chain pins above. QR goes through LAPACK, whose last
     # bits may differ between builds, so the samples are compared by moments.
-    raw, resampled = slicer._raw_samples(DOUBLED_SQUARE_R3, SQRT, 2000, 42, 0)
+    raw, resampled = slicer._raw_samples(DOUBLED_SQUARE_R3, SQRT, 2000, 42)
     assert resampled == 0
     assert raw.mean() == pytest.approx(0.6919842202513239, rel=1e-9)
     assert raw.std(ddof=1) == pytest.approx(0.805899844276314, rel=1e-9)
@@ -735,7 +735,7 @@ def test_crofton_beta_matches_log_gamma_formula():
 @pytest.mark.parametrize("m, n", [(1, 2), (1, 3), (1, 4), (1, 9), (2, 2), (2, 3), (2, 4)])
 def test_raw_mean_on_unit_cube_matches_crofton_beta(m, n):
     ref = segment((0,) * n, (1,) + (0,) * (n - 1), ambient=n) if m == 1 else _unit_square(n)
-    raw, _ = slicer._raw_samples(ref, IDENT, 20_000, 5, 0)
+    raw, _ = slicer._raw_samples(ref, IDENT, 20_000, 5)
     sem = raw.std(ddof=1) / math.sqrt(raw.size)
     assert abs(raw.mean() - slicer._crofton_beta(n, m)) <= 5 * sem
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -355,6 +356,43 @@ def test_certify_accepts_clean_report():
     rep = certify(p, s)
     assert isinstance(rep, CertifyReport)
     assert rep.ok and rep.entries == ()
+
+
+def test_certify_flags_each_tampered_field_alone():
+    cx = _fork()
+    p = _problem(cx, budget=Chain(0, {"v": 1}), phi=Cochain(0, {"v": 1}))
+    s = solve(p, caps=1)
+    assert certify(p, s).ok
+    tampered = [
+        (replace(s, minimizers=()), "no minimizers reported"),
+        (replace(s, minimizers=(Chain(1, {"e1": Fraction(1, 2)}),)),
+         "minimizer 0 has non-integer coefficients"),
+        (replace(s, caps={**s.caps, "e2": -1}), "negative cap on 'e2'"),
+    ]
+    for bad, issue in tampered:
+        rep = certify(p, bad)
+        assert not rep.ok
+        assert rep.entries == (issue,)
+
+
+# ---------------------------------------------------------------- limits
+
+@pytest.mark.parametrize("limit", [0, -1, True, 1.5])
+@pytest.mark.parametrize("route", [solve, exhaustive_oracle])
+def test_minimizer_limit_below_one_is_rejected(route, limit):
+    p = _problem(_fork(), budget=Chain(0, {"v": 1}), phi=Cochain(0, {"v": 1}))
+    with pytest.raises(DomainError, match="minimizer limit"):
+        route(p, caps=1, max_minimizers=limit)
+    one = route(p, caps=1, max_minimizers=1)
+    assert len(one.minimizers) == 1 and one.truncated
+
+
+def test_oracle_refuses_a_box_over_its_limit_before_building_chains(monkeypatch):
+    def no_boundary(*args):
+        raise AssertionError("built a candidate before checking the box size")
+    monkeypatch.setattr(solver, "boundary", no_boundary)
+    with pytest.raises(SearchSpaceError):
+        exhaustive_oracle(_problem(interval()), caps=solver.ORACLE_LIMIT // 2)
 
 
 # ---------------------------------------------------------------- propagation

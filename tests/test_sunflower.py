@@ -67,9 +67,9 @@ def test_budget_box_is_the_published_one():
     s = canonical(0)
     box = boundary_box(s.cx, s.budget_chain, Chain(2, {}))
     for e in s.inner_edges:
-        assert box.as_dict()[e] == (0, 2)
+        assert box[e] == (0, 2)
     for e in s.arc_edges:
-        assert box.as_dict()[e] == (0, 1)
+        assert box[e] == (0, 1)
 
 
 def test_canonical_sweep_closed_form():
@@ -116,6 +116,12 @@ def test_closed_form_truncation_flag():
     sol = closed_form_solutions(canonical(-1), max_minimizers=3)
     assert len(sol.minimizers) == 3
     assert sol.truncated
+
+
+@pytest.mark.parametrize("limit", [0, -2, True])
+def test_closed_form_rejects_a_limit_below_one(limit):
+    with pytest.raises(DomainError, match="minimizer limit"):
+        closed_form_solutions(canonical(-1), max_minimizers=limit)
 
 
 def test_partial_variant_shifts_lower_threshold():
