@@ -232,13 +232,13 @@ class CellComplex:
         """Signed faces of one d-cell, as a name -> sign mapping."""
         return dict(self._faces.get(dim, {}).get(cell, {}))
 
-    def cofaces(self, dim: int, face: str) -> list[tuple[str, int]]:
-        """All (dim)-cells whose boundary contains `face`, with signs."""
-        out = []
-        for cell, row in self._faces.get(dim, {}).items():
-            sign = row.get(face)
-            if sign:
-                out.append((cell, sign))
+    def cofaces(self, dim: int) -> dict[str, list[tuple[str, int]]]:
+        """Each (dim-1)-cell -> the dim-cells with it in their boundary, and signs; cell order."""
+        out: dict[str, list[tuple[str, int]]] = {name: [] for name in self._index.get(dim - 1, ())}
+        rows = self._faces.get(dim, {})
+        for cell in self._index.get(dim, ()):  # names in cell order
+            for face, sign in rows.get(cell, {}).items():
+                out[face].append((cell, sign))
         return out
 
     def face_entries(self, dim: int) -> Iterator[tuple[str, str, int]]:

@@ -24,7 +24,7 @@ from .complexes import CellComplex, Chain, Cochain, boundary, pair, unit_chain
 from .errors import DomainError, SearchSpaceError
 from .functionals import Integrand, h_mass, mass
 from .lp import OPTIMAL, solve_lp
-from .numeric import Number, strictly_less
+from .numeric import Number, check_int, strictly_less
 from .search import search
 
 ENUMERATION_LIMIT = 100_000_000
@@ -66,12 +66,11 @@ def flat_norm_real(cx: CellComplex, t: Chain) -> FlatCertificate:
             row[2 * k], row[2 * k + 1] = v, -v
         return row
 
-    # Variable i < n_s is R on sigma i; variable n_s + j is S on tau j.
-    pos = {name: i for i, name in enumerate(sigmas)}
-    entries = [{i: 1} for i in range(n_s)]
-    for j, tau in enumerate(taus):
-        for face, sign in cx.boundary_row(dim + 1, tau).items():
-            entries[pos[face]][n_s + j] = sign
+    # Variable i < n_s is R on sigma i; variable n_s + j is S on tau j. Row i
+    # reads sigma i's cofaces.
+    col = {tau: n_s + j for j, tau in enumerate(taus)}
+    entries = [{i: 1} | {col[tau]: sign for tau, sign in row}
+               for i, row in enumerate(cx.cofaces(dim + 1).values())]
     cost = [cx.measure(d, name) for d, names in ((dim, sigmas), (dim + 1, taus))
             for name in names for _ in range(2)]
     res = solve_lp(cost, [split(e) for e in entries], [t.get(name) for name in sigmas],
@@ -109,6 +108,16 @@ def verify_real_certificate(cx: CellComplex, t: Chain, cert: FlatCertificate) ->
     return pair(y, t) == cert.value
 
 
+def _integer_difference(cx: CellComplex, t1: Chain, t2: Chain, cap: int) -> Chain:
+    """t1 - t2, checked to be an integer chain on `cx`, with the filling cap checked too."""
+    t = t1 - t2
+    if not t.is_integer:
+        raise DomainError("flat distance needs integer chains")
+    cx.check_chain(t)
+    check_int(cap, 0, "cap")
+    return t
+
+
 def flat_distance_integral(cx: CellComplex, t1: Chain, t2: Chain, cap: int) -> FlatCertificate:
     """Integral flat distance between two integer chains.
 
@@ -130,12 +139,7 @@ def h_flat_distance(cx: CellComplex, t1: Chain, t2: Chain, h: Integrand, cap: in
     least cost is 0 when t - r can be 0, else at the end nearest zero; a cost
     that decreases somewhere a row can reach raises DomainError.
     """
-    t = t1 - t2
-    if not t.is_integer:
-        raise DomainError("flat distance needs integer chains")
-    cx.check_chain(t)
-    if cap < 0:
-        raise DomainError(f"cap must be >= 0, got {cap}")
+    t = _integer_difference(cx, t1, t2, cap)
     dim = t.dim
     taus = cx.cell_names(dim + 1)
     cost = cache(lambda j: h(j) if j else 0)  # a cell at 0 costs nothing
@@ -145,10 +149,7 @@ def h_flat_distance(cx: CellComplex, t1: Chain, t2: Chain, h: Integrand, cap: in
             return 0
         return mu * cost(min(abs(target - hi), abs(target - lo)))
 
-    rows: dict[str, list[tuple[str, int]]] = {name: [] for name in cx.cell_names(dim)}
-    for tau in taus:
-        for face, sign in cx.boundary_row(dim + 1, tau).items():
-            rows[face].append((tau, sign))
+    rows = cx.cofaces(dim + 1)
     # `least` is a lower bound only where the cost does not decrease, on the
     # remainders |t - r| a row can reach.
     reach = max((abs(t.get(name)) + cap * sum(abs(s) for _, s in row)
@@ -172,14 +173,10 @@ def h_flat_distance(cx: CellComplex, t1: Chain, t2: Chain, h: Integrand, cap: in
 def enumerate_flat_integral(cx: CellComplex, t1: Chain, t2: Chain, cap: int,
                             h: Optional[Integrand] = None) -> FlatCertificate:
     """Exhaustive oracle over the full filling box; small instances only."""
-    t = t1 - t2
-    if not t.is_integer:
-        raise DomainError("integral flat distance needs integer chains")
-    cx.check_chain(t)
+    t = _integer_difference(cx, t1, t2, cap)
     dim = t.dim
     taus = cx.cell_names(dim + 1)
-    width = 2 * cap + 1
-    if width ** max(len(taus), 1) > ENUMERATION_LIMIT:
+    if (2 * cap + 1) ** max(len(taus), 1) > ENUMERATION_LIMIT:
         raise SearchSpaceError("enumeration box exceeds the safety limit")
     best_value: Optional[Number] = None
     best_s: Optional[Chain] = None

@@ -182,29 +182,29 @@ class IntegrandReport:
         return [c.axiom for c in self.checks if not c.ok]
 
 
-def validate_integrand(h: Integrand, grid_max: int = GRID_MAX) -> IntegrandReport:
-    """Check the five axioms on the integer grid 0..grid_max plus pairwise sums.
+def validate_integrand(h: Integrand) -> IntegrandReport:
+    """Check the five axioms on the integer grid 0..GRID_MAX plus pairwise sums.
 
     Monotonicity and subadditivity are genuinely grid checks; zero/unit
     normalization is a point check; unboundedness follows from the integrand's
     structure (power-law exponent or terminal slope), which the grid cannot see.
     """
     checks: list[AxiomCheck] = []
-    vals = [h(t) for t in range(grid_max + 1)]
+    vals = [h(t) for t in range(GRID_MAX + 1)]
 
     ok0 = vals[0] == 0
     checks.append(AxiomCheck("zero-at-zero", ok0, "" if ok0 else f"H(0) = {vals[0]}"))
     ok1 = vals[1] == 1
     checks.append(AxiomCheck("unit-at-one", ok1, "" if ok1 else f"H(1) = {vals[1]}"))
 
-    bad = next((t for t in range(grid_max) if not vals[t] < vals[t + 1]), None)
+    bad = next((t for t in range(GRID_MAX) if not vals[t] < vals[t + 1]), None)
     checks.append(AxiomCheck(
         "strictly-increasing", bad is None,
         "" if bad is None else f"H({bad}) = {vals[bad]} !< H({bad + 1}) = {vals[bad + 1]}"))
 
     sub_bad = ""
-    for a in range(1, grid_max + 1):
-        for b in range(a, grid_max + 1):
+    for a in range(1, GRID_MAX + 1):
+        for b in range(a, GRID_MAX + 1):
             lhs = h(a + b)
             rhs = vals[a] + vals[b]
             if strictly_less(rhs, lhs):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 Number = Union[int, Fraction, float]
 
@@ -46,17 +46,23 @@ def is_exact(value: Number) -> bool:
     return isinstance(value, (int, Fraction))
 
 
-def values_equal(a: Number, b: Number, tol: float = FLOAT_TOL) -> bool:
+def values_equal(a: Number, b: Number) -> bool:
     if is_exact(a) and is_exact(b):
         return a == b
-    return abs(float(a) - float(b)) <= tol
+    return abs(float(a) - float(b)) <= FLOAT_TOL
 
 
-def strictly_less(a: Number, b: Number, tol: float = FLOAT_TOL) -> bool:
-    """a < b, with a tolerance margin when either side is a float."""
+def strictly_less(a: Number, b: Number) -> bool:
+    """a < b, with a FLOAT_TOL margin when either side is a float."""
     if is_exact(a) and is_exact(b):
         return a < b
-    return float(a) < float(b) - tol
+    return float(a) < float(b) - FLOAT_TOL
+
+
+def check_int(value, least: int, what: str) -> int:
+    if type(value) is not int or value < least:  # a bool is not an int here
+        raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def format_rational(value: Fraction) -> str:

@@ -4,7 +4,7 @@ The problem: over integer m-chains T with boundary(T - T0) a subcurrent of a
 prescribed (m-1)-chain B, minimize H-weighted mass minus the pairing of a
 fixed cochain with boundary(T). Once the pairing is folded into per-cell
 linear terms the energy separates per m-cell, and the constraint is one
-integer box per (m-1)-cell on a signed sum of its cofaces' coefficients:
+integer box per (m-1)-cell on the signed sum over its `CellComplex.cofaces`:
 exactly the input of the branch-and-bound engine in `pplateau.search`.
 
 Coefficient caps are either supplied or derived from the energy budget of the
@@ -34,7 +34,7 @@ from typing import Mapping, Optional, Union
 from .complexes import CellComplex, Chain, Cochain, boundary
 from .errors import DomainError, SearchSpaceError
 from .functionals import EnergyValue, Integrand, comass, energy, h_mass, mass
-from .numeric import Number, strictly_less, values_equal
+from .numeric import Number, check_int, strictly_less, values_equal
 from .search import _propagate, search
 from .subcurrent import boundary_box, is_subcurrent_cellwise
 
@@ -104,26 +104,21 @@ def derive_bounds(p: Problem) -> dict[str, int]:
 
 
 def _check_limit(limit: Optional[int]) -> None:
-    if limit is not None and (type(limit) is not int or limit < 1):  # bool is not accepted
-        raise DomainError(f"minimizer limit must be None or an integer >= 1, got {limit!r}")
+    if limit is not None:
+        check_int(limit, 1, "minimizer limit")
 
 
 def _resolve_caps(p: Problem, caps: Optional[Caps]) -> dict[str, int]:
     names = p.cx.cell_names(p.dim)
     if caps is None:
         return derive_bounds(p)
-    if isinstance(caps, int):
-        if caps < 0:
-            raise DomainError(f"cap must be >= 0, got {caps}")
-        return {name: caps for name in names}
+    if not isinstance(caps, Mapping):
+        caps = dict.fromkeys(names, check_int(caps, 0, "cap"))
     out = {}
     for name in names:
         if name not in caps:
             raise DomainError(f"missing cap for {p.dim}-cell {name!r}")
-        c = caps[name]
-        if not isinstance(c, int) or c < 0:
-            raise DomainError(f"cap for {name!r} must be a nonnegative integer")
-        out[name] = c
+        out[name] = check_int(caps[name], 0, f"cap for {name!r}")
     return out
 
 
@@ -139,23 +134,15 @@ def solve(p: Problem, caps: Optional[Caps] = None,
     _check_limit(max_minimizers)
     cap_map = _resolve_caps(p, caps)
     cx, names = p.cx, p.cx.cell_names(p.dim)
-    rows = {name: cx.boundary_row(p.dim, name) for name in names}
-    box = boundary_box(cx, p.budget_chain, p.reference)
-    # Coface index: the cells and incidences of each (m-1)-cell's row. An
-    # (m-1)-cell no cell reaches has a box around 0, as boundary(T0) is 0 there.
-    touch: dict[str, list[tuple[str, int]]] = {
-        e: [] for e in sorted(box.keys() | {e for row in rows.values() for e in row})}
-    for name in names:
-        for e, sign in rows[name].items():
-            touch[e].append((name, sign))
-    box = {e: box.get(e, (0, 0)) for e in touch}
+    touch = cx.cofaces(p.dim)  # one row per (m-1)-cell; outside boundary_box's keys, [0, 0]
+    box = dict.fromkeys(touch, (0, 0)) | boundary_box(cx, p.budget_chain, p.reference)
     domains = _propagate(touch, box, cap_map)
 
     h = cache(p.h)
     contrib_tab = {}
     for name in names:
         mu = cx.measure(p.dim, name)
-        q = sum((p.phi.get(f) * s for f, s in rows[name].items()), Fraction(0))
+        q = sum((p.phi.get(f) * s for f, s in cx.boundary_row(p.dim, name).items()), Fraction(0))
         if not p.h.is_exact:
             mu, q = float(mu), float(q)
         contrib_tab[name] = {v: h(abs(v)) * mu - v * q for v in domains[name]}

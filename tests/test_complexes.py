@@ -162,12 +162,21 @@ def test_cofaces_mirror_boundary_rows():
     rng = random.Random(7)
     pairs = 0
     for _ in range(10):
-        cx = random_complex(rng)
-        for edge in cx.cell_names(1):
-            rows = {face: cx.boundary_row(2, face) for face in cx.cell_names(2)}
-            expected = sorted((face, row[edge]) for face, row in rows.items() if edge in row)
-            assert sorted(cx.cofaces(2, edge)) == expected
-            pairs += len(expected)
+        cx = random_complex(rng, signs=(-2, -1, 1, 2))
+        assert cx.cofaces(0) == {}
+        for dim in (1, 2):
+            index = cx.cofaces(dim)
+            assert list(index) == cx.cell_names(dim - 1)
+            order = {name: i for i, name in enumerate(cx.cell_names(dim))}
+            for face, row in index.items():
+                cells = [order[cell] for cell, _ in row]
+                assert cells == sorted(cells) and len(set(cells)) == len(cells)
+                for cell, sign in row:  # every indexed pair is a boundary entry
+                    assert cx.boundary_row(dim, cell)[face] == sign
+            for cell in cx.cell_names(dim):  # every boundary entry is indexed
+                for face, sign in cx.boundary_row(dim, cell).items():
+                    assert (cell, sign) in index[face]
+                    pairs += 1
     assert pairs > 0
 
 

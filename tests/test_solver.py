@@ -8,6 +8,7 @@ import pytest
 import pplateau.solver as solver
 from pplateau.complexes import CellComplex, Chain, Cochain, boundary
 from pplateau.errors import DomainError, SearchSpaceError
+from pplateau.flatnorm import enumerate_flat_integral, flat_distance_integral, h_flat_distance
 from pplateau.functionals import Integrand, energy
 from pplateau.numeric import values_equal
 from pplateau.search import _propagate
@@ -375,7 +376,7 @@ def test_certify_flags_each_tampered_field_alone():
         assert rep.entries == (issue,)
 
 
-# ---------------------------------------------------------------- limits
+# ---------------------------------------------------------------- caps and limits
 
 @pytest.mark.parametrize("limit", [0, -1, True, 1.5])
 @pytest.mark.parametrize("route", [solve, exhaustive_oracle])
@@ -385,6 +386,24 @@ def test_minimizer_limit_below_one_is_rejected(route, limit):
         route(p, caps=1, max_minimizers=limit)
     one = route(p, caps=1, max_minimizers=1)
     assert len(one.minimizers) == 1 and one.truncated
+
+
+CAP_ROUTES = {  # each returns the cap its result reports
+    "solve": lambda cap: solve(_problem(interval()), caps=cap).caps["e"],
+    "exhaustive_oracle": lambda cap: exhaustive_oracle(_problem(interval()), caps=cap).caps["e"],
+    "h_flat_distance": lambda cap: h_flat_distance(interval(), ZERO0, ZERO0, SQRT, cap).cap,
+    "flat_distance_integral": lambda cap: flat_distance_integral(interval(), ZERO0, ZERO0, cap).cap,
+    "enumerate_flat_integral":
+        lambda cap: enumerate_flat_integral(interval(), ZERO0, ZERO0, cap).cap,
+}
+
+
+@pytest.mark.parametrize("cap", [True, 1.5, -1, "2", {"e": True}, {"e": 1.5}, {"e": -1}])
+@pytest.mark.parametrize("route", CAP_ROUTES)
+def test_a_cap_that_is_not_an_integer_of_at_least_zero_is_rejected(route, cap):
+    with pytest.raises(DomainError, match="cap.* must be an integer >= 0"):
+        CAP_ROUTES[route](cap)
+    assert CAP_ROUTES[route](1) == 1
 
 
 def test_oracle_refuses_a_box_over_its_limit_before_building_chains(monkeypatch):
